@@ -86,12 +86,7 @@ def _config_from_args(args) -> "RunConfig":
     if args.noise_pro is not None:
         noise["p_ro"] = args.noise_pro
     if noise:
-        base = load_config(args.config).noise if args.config else None
-        full = {"p1": base.p1 if base else 0.0,
-                "p2": base.p2 if base else 0.0,
-                "p_ro": base.p_ro if base else 0.0}
-        full.update(noise)
-        overrides["noise"] = full
+        overrides["noise"] = noise
     return load_config(args.config, overrides)
 
 

@@ -20,7 +20,8 @@ Config file schema (JSON, all fields optional):
       "dilation": false
     }
 
-Command-line flags win over file values.
+Command-line flags win over file values. A partial "noise" object keeps the
+probabilities it does not name, so `--noise-p1` leaves a file's p2 and p_ro.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _apply_mapping(cfg: RunConfig, data: dict) -> RunConfig:
                 updates["noise"] = value
             else:
                 try:
-                    updates["noise"] = NoiseSpec(**value)
+                    updates["noise"] = dataclasses.replace(cfg.noise, **value)
                 except (TypeError, InvalidInputError) as exc:
                     raise ConfigError(f"bad noise spec: {exc}") from exc
         elif key in known:

@@ -89,11 +89,12 @@ def cayley_diag(lam: np.ndarray, h: float) -> np.ndarray:
 
 
 def skew_part(m: np.ndarray) -> np.ndarray:
-    """(m - m.T) / 2; exactly skew-symmetric by construction."""
+    """(m - m.T) / 2 over the last two axes; exactly skew-symmetric by
+    construction. A stack of matrices is handled matrix by matrix."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"matrix must be square, got shape {m.shape}")
-    return (m - m.T) / 2.0
+    return (m - np.swapaxes(m, -1, -2)) / 2.0
 
 
 def nearest_orthogonal(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:

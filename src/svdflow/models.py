@@ -56,7 +56,12 @@ def two_state_generator(m: RateModel) -> Generator:
         k_ad = m.acceptor_to_donor.rate(t)
         return np.array([[-k_da, k_ad], [k_da, -k_ad]])
 
-    return Generator(dim=2, matrix=matrix)
+    def grid(ts):
+        k_da = m.donor_to_acceptor.rate(ts)
+        k_ad = m.acceptor_to_donor.rate(ts)
+        return np.stack([-k_da, k_ad, k_da, -k_ad], axis=-1).reshape(-1, 2, 2)
+
+    return Generator(dim=2, matrix=matrix, grid=grid)
 
 
 def analytic_two_state(k_da: float, k_ad: float, t: float) -> tuple[float, float]:
@@ -79,10 +84,15 @@ def synthetic_generator(n: int, seed: int, smoothness: float,
     def matrix(t):
         return a0 + smoothness * (a1 * np.sin(omega * t) + a2 * np.exp(-t / decay))
 
-    return Generator(dim=n, matrix=matrix)
+    def grid(ts):
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        return a0 + smoothness * (a1 * np.sin(omega * ts) + a2 * np.exp(-ts / decay))
+
+    return Generator(dim=n, matrix=matrix, grid=grid)
 
 
 def skew_generator(n: int, seed: int, smoothness: float = 0.0) -> Generator:
     """Skew-projected synthetic generator; its exact flow is orthogonal."""
     base = synthetic_generator(n, seed, smoothness)
-    return Generator(dim=n, matrix=lambda t: skew_part(base(t)))
+    return Generator(dim=n, matrix=lambda t: skew_part(base(t)),
+                     grid=lambda ts: skew_part(base.matrix_grid(ts)))

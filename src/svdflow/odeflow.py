@@ -1,4 +1,4 @@
-"""Time-dependent generators, RK2 reference integration and classical seeding.
+"""Time-dependent generators, RK2 step products and classical seeding.
 
 The explicit midpoint rule is used throughout:
 
@@ -6,12 +6,24 @@ The explicit midpoint rule is used throughout:
     v(t+h) = v + h * A(t + h/2) @ (v + (h/2) k1)
 
 which matches the midpoint-centered Cayley updates used by the factor flow.
+The rule is linear in v, so one substep is the matrix I + D with
+
+    D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t).
+
+`step_products` multiplies these matrices over consecutive intervals in
+deviation form: two substeps compose as D12 = D1 + D2 + D2 D1, paired as a
+tree (Blelloch, "Prefix sums and their applications", 1990), and a product
+is applied as x + D x. Forming I + D explicitly would round the small
+deviations against the identity and lose about two digits over 1e5
+substeps. Seeding, the reference trajectory and the oracle propagators all
+come from this one kernel; `propagator` keeps the substep-by-substep loop as
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,63 +31,41 @@ from .errors import DegenerateSingularValuesError, InvalidInputError, OverflowGu
 from .matcore import svd
 from .svdeom import DEFAULT_TOL_DEGEN, SvdFactors
 
+# Generator entries evaluated per chunk of substeps. Fixed, so memory stays
+# flat however many substeps an interval holds.
+CHUNK_ELEMENTS = 2**13
+
 
 @dataclass(frozen=True)
 class Generator:
-    """Evaluable time-dependent coefficient matrix A(t), shape (dim, dim)."""
+    """Evaluable time-dependent coefficient matrix A(t), shape (dim, dim).
+
+    `grid`, when given, evaluates A on an array of times at once,
+    (T,) -> (T, dim, dim), and must return exactly what `matrix` returns at
+    each time. Without it, `matrix_grid` stacks scalar calls. A copy made by
+    `dataclasses.replace(gen, matrix=...)` keeps `grid`, so the new matrix
+    must still agree with it.
+    """
 
     dim: int
     matrix: Callable[[float], np.ndarray]
+    grid: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t: float) -> np.ndarray:
         return self.matrix(t)
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise InvalidInputError("trajectory times must be strictly increasing")
-
-
-def rk2_step(a: Generator, v: np.ndarray, t: float, h: float) -> np.ndarray:
-    if h <= 0:
-        raise InvalidInputError(f"step size must be positive, got {h}")
-    k1 = a(t) @ v
-    out = v + h * (a(t + h / 2.0) @ (v + (h / 2.0) * k1))
-    if not np.all(np.isfinite(out)):
-        raise OverflowGuardError(f"non-finite state after step at t={t:g}")
-    return out
-
-
-def integrate(a: Generator, v0: np.ndarray, t0: float, t1: float,
-              nsteps: int) -> Trajectory:
-    if t1 <= t0:
-        raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
-    if nsteps < 1:
-        raise InvalidInputError("nsteps must be >= 1")
-    h = (t1 - t0) / nsteps
-    states = np.empty((nsteps + 1, len(v0)))
-    states[0] = v0
-    v = np.asarray(v0, dtype=float)
-    for i in range(nsteps):
-        t = t0 + i * h
-        try:
-            v = rk2_step(a, v, t, h)
-        except OverflowGuardError as exc:
-            exc.step = i
-            raise
-        states[i + 1] = v
-    times = t0 + h * np.arange(nsteps + 1)
-    return Trajectory(times=times, states=states)
+    def matrix_grid(self, ts: np.ndarray) -> np.ndarray:
+        if self.grid is not None:
+            return self.grid(ts)
+        return np.array([self.matrix(t) for t in ts], dtype=float)
 
 
 def propagator(a: Generator, t0: float, t1: float, nsteps: int,
                phi0: np.ndarray | None = None) -> np.ndarray:
-    """Integrate Phi' = A(t) Phi by matrix RK2 from Phi(t0) = phi0 (default I)."""
+    """Integrate Phi' = A(t) Phi by matrix RK2 from Phi(t0) = phi0 (default I).
+
+    One substep at a time: the sequential reference for `step_products`.
+    """
     if t1 < t0:
         raise InvalidInputError(f"need t1 >= t0, got [{t0}, {t1}]")
     phi = np.eye(a.dim) if phi0 is None else np.array(phi0, dtype=float)
@@ -91,6 +81,90 @@ def propagator(a: Generator, t0: float, t1: float, nsteps: int,
         if not np.all(np.isfinite(phi)):
             raise OverflowGuardError(f"non-finite propagator at t={t:g}", step=i)
     return phi
+
+
+def _deviations(a: Generator, ts: np.ndarray, h: float) -> np.ndarray:
+    """D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t) for every substep start t."""
+    both = a.matrix_grid(np.concatenate([ts, ts + h / 2.0]))
+    start, mid = both[:len(ts)], both[len(ts):]
+    return h * mid + (h * h / 2.0) * (mid @ start)
+
+
+def _compose_tree(d: np.ndarray) -> np.ndarray:
+    """Compose d[:, 0], d[:, 1], ... (earliest first) pairwise along axis 1."""
+    while d.shape[1] > 1:
+        even = d.shape[1] // 2 * 2
+        early, late = d[:, 0:even:2], d[:, 1:even:2]
+        paired = early + late + late @ early
+        d = np.concatenate([paired, d[:, even:]], axis=1)
+    return d[:, 0]
+
+
+def step_products(a: Generator,
+                  segments: Sequence[tuple[float, float, int, int]]) -> np.ndarray:
+    """Deviations D_k of the RK2 step products over consecutive intervals.
+
+    Each segment (t0, t1, intervals, substeps) splits [t0, t1] into
+    `intervals` equal intervals of `substeps` midpoint substeps each. The
+    result stacks every segment's intervals in order, shape (K, dim, dim),
+    with Phi(end of interval k) = (I + D_k) Phi(start of interval k).
+
+    A is evaluated on whole chunks of substeps through `a.matrix_grid`. A
+    chunk's product is checked for finiteness once: inf and nan persist
+    through products, so this catches any overflow a per-substep check
+    would. The first non-finite interval k raises OverflowGuardError with
+    step=k.
+    """
+    n = a.dim
+    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
+    out = []
+    for t0, t1, intervals, substeps in segments:
+        if t1 <= t0:
+            raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
+        if intervals < 1 or substeps < 1:
+            raise InvalidInputError("intervals and substeps must be >= 1")
+        h = (t1 - t0) / (intervals * substeps)
+        rows = max(1, per_chunk // substeps)   # intervals per chunk
+        cols = min(substeps, per_chunk)        # substeps per interval per chunk
+        for k0 in range(0, intervals, rows):
+            ks = np.arange(k0, min(k0 + rows, intervals))
+            total = None
+            for j0 in range(0, substeps, cols):
+                js = np.arange(j0, min(j0 + cols, substeps))
+                ts = t0 + (ks[:, None] * substeps + js).ravel() * h
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d = _compose_tree(
+                        _deviations(a, ts, h).reshape(len(ks), len(js), n, n))
+                    total = d if total is None else total + d + d @ total
+                bad = ~np.isfinite(total).all(axis=(1, 2))
+                if bad.any():
+                    k = int(ks[np.argmax(bad)])
+                    lo = t0 + k * substeps * h
+                    raise OverflowGuardError(
+                        f"non-finite step product on [{lo:g}, {lo + substeps * h:g}]",
+                        step=len(out) + k)
+            out.extend(total)
+    return np.array(out)
+
+
+def apply_step_products(d: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """x_k = (I + D_k) x_{k-1} from x_{-1} = x0, stacked for k = 0..K-1.
+
+    x0 is a state vector or a matrix. The first non-finite x_k raises
+    OverflowGuardError with step=k.
+    """
+    out = np.empty((len(d),) + np.shape(x0))
+    x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, dk in enumerate(d):
+            x = x + dk @ x
+            out[k] = x
+    bad = ~np.isfinite(out.reshape(len(d), -1)).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise OverflowGuardError(f"non-finite propagated state on interval {k}",
+                                 step=k)
+    return out
 
 
 def _check_seed_gaps(s: np.ndarray, t: float, tol_degen: float):
@@ -111,7 +185,8 @@ def seed_factors(a: Generator, t_seed: float, h: float, nsub: int = 500,
 
     The propagator is integrated once from 0 and continued across the three
     seed times; nsub substeps are distributed over [0, t_seed] in proportion
-    to segment length.
+    to segment length. An overflow carries the index of the seed (0, 1, 2)
+    whose segment it reached.
     """
     if t_seed - 2.0 * h <= 0:
         raise InvalidInputError(
@@ -119,12 +194,12 @@ def seed_factors(a: Generator, t_seed: float, h: float, nsub: int = 500,
     if nsub < 3:
         raise InvalidInputError("nsub must be >= 3")
     times = [0.0, t_seed - 2.0 * h, t_seed - h, t_seed]
-    phi = None
+    segments = [(lo, hi, 1, max(1, int(round(nsub * (hi - lo) / t_seed))))
+                for lo, hi in zip(times[:-1], times[1:])]
+    phis = apply_step_products(step_products(a, segments), np.eye(a.dim))
     out = []
-    for lo, hi in zip(times[:-1], times[1:]):
-        n_seg = max(1, int(round(nsub * (hi - lo) / t_seed)))
-        phi = propagator(a, lo, hi, n_seg, phi0=phi)
+    for phi, t in zip(phis, times[1:]):
         u, s, v = svd(phi)
-        _check_seed_gaps(s, hi, tol_degen)
-        out.append(SvdFactors.from_svd(u, s, v, hi))
+        _check_seed_gaps(s, t, tol_degen)
+        out.append(SvdFactors.from_svd(u, s, v, t))
     return tuple(out)

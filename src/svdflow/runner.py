@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, build_generator, config_as_dict
-from .odeflow import Generator, propagator, rk2_step, seed_factors
+from .errors import SvdFlowError
+from .odeflow import Generator, apply_step_products, seed_factors, step_products
 from .qsim import (
     QsvdState,
     ShotPlan,
@@ -50,6 +51,17 @@ class ReferenceResult:
         return self.states[1:]
 
 
+def _grid_step_products(cfg: RunConfig, gen: Generator) -> np.ndarray:
+    """Step-product deviations onto every factor-flow grid point: [0, t_seed]
+    on the seeding grid, then each of the n_steps output intervals with
+    ref_refine substeps. Entry k ends at grid point k, so an overflow's step
+    is the grid index."""
+    return step_products(gen, [
+        (0.0, cfg.t_seed, 1, cfg.seed_substeps),
+        (cfg.t_seed, cfg.t_f, cfg.n_steps, cfg.ref_refine),
+    ])
+
+
 def compute_reference(cfg: RunConfig, gen: Generator | None = None) -> ReferenceResult:
     """RK2 populations at t=0 and on the factor-flow grid [t_seed, t_f].
 
@@ -57,35 +69,17 @@ def compute_reference(cfg: RunConfig, gen: Generator | None = None) -> Reference
     output intervals uses ref_refine substeps.
     """
     gen = build_generator(cfg) if gen is None else gen
+    v0 = initial_state(gen.dim)
+    states = apply_step_products(_grid_step_products(cfg, gen), v0)
     h = cfg.step_size
-    v = initial_state(gen.dim)
-    times = [0.0]
-    states = [v.copy()]
-    hs = cfg.t_seed / cfg.seed_substeps
-    for i in range(cfg.seed_substeps):
-        v = rk2_step(gen, v, i * hs, hs)
-    times.append(cfg.t_seed)
-    states.append(v.copy())
-    for i in range(cfg.n_steps):
-        t0 = cfg.t_seed + i * h
-        hr = h / cfg.ref_refine
-        for j in range(cfg.ref_refine):
-            v = rk2_step(gen, v, t0 + j * hr, hr)
-        times.append(t0 + h)
-        states.append(v.copy())
-    return ReferenceResult(times=np.array(times), states=np.array(states))
+    times = np.concatenate([[0.0, cfg.t_seed],
+                            (cfg.t_seed + h * np.arange(cfg.n_steps)) + h])
+    return ReferenceResult(times=times, states=np.vstack([v0, states]))
 
 
 def oracle_propagators(cfg: RunConfig, gen: Generator) -> list[np.ndarray]:
     """Finely integrated propagators at every factor-flow grid point."""
-    h = cfg.step_size
-    phi = propagator(gen, 0.0, cfg.t_seed, cfg.seed_substeps)
-    out = [phi]
-    for i in range(cfg.n_steps):
-        t0 = cfg.t_seed + i * h
-        phi = propagator(gen, t0, t0 + h, cfg.ref_refine, phi0=phi)
-        out.append(phi)
-    return out
+    return list(apply_step_products(_grid_step_products(cfg, gen), np.eye(gen.dim)))
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,18 @@ def _record_row(t, p_ref, f: SvdFactors, acc: float) -> list[float]:
 
 
 def _acceptance(cfg: RunConfig, f: SvdFactors, step: int) -> float:
+    """Acceptance rate of the factors at grid index `step`; a failure of the
+    dilation circuit carries that index."""
     v0 = initial_state(f.dim)
     if cfg.dilation and cfg.mode != "exact":
         plan = ShotPlan(cfg.n_shots, cfg.rng_seed)
-        res = dilation_circuit(v0, f, plan, cfg.noise, cfg.mode,
-                               rng=derive_rng(cfg.rng_seed, step, 3))
+        try:
+            res = dilation_circuit(v0, f, plan, cfg.noise, cfg.mode,
+                                   rng=derive_rng(cfg.rng_seed, step, 3))
+        except SvdFlowError as exc:
+            if exc.step is None:
+                exc.step = step
+            raise
         return res.acceptance_rate
     w = reconstruct_phi(f) @ v0
     return float(w @ w / f.sigma1**2)

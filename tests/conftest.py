@@ -1,6 +1,6 @@
-"""Shared fixtures: the default demo pipeline is expensive to seed, so the
-seeds, reference trajectory, fine-grained oracle propagators and the exact
-factor-flow run are computed once per session and shared."""
+"""Shared fixtures: the default demo pipeline's seeds, reference trajectory,
+fine-grained oracle propagators and exact factor-flow run are computed once
+per session and shared."""
 
 import numpy as np
 import pytest

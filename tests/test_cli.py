@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from svdflow.cli import main
+from svdflow.cli import _config_from_args, build_parser, main
 from svdflow.config import RunConfig, build_generator, load_config
 from svdflow.errors import ConfigError
 from svdflow.qsim import NoiseSpec
@@ -59,6 +59,12 @@ class TestConfig:
         assert cfg.noise == NoiseSpec(p1=0.1, p2=0.0, p_ro=0.2)
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, {"noise": {"p1": 2.0}}))
+
+    def test_noise_flag_keeps_file_probabilities(self, tmp_path):
+        path = write_config(tmp_path, {"noise": {"p1": 0.1, "p2": 0.02, "p_ro": 0.03}})
+        args = build_parser().parse_args(
+            ["qsvd", "--config", path, "--noise-p1", "1e-3", "--out", "x.csv"])
+        assert _config_from_args(args).noise == NoiseSpec(p1=1e-3, p2=0.02, p_ro=0.03)
 
     def test_model_section(self, tmp_path):
         path = write_config(tmp_path, {
@@ -138,6 +144,31 @@ class TestCli:
         assert code == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "DegenerateSingularValuesError"
+
+    def test_reference_overflow_names_grid_step(self, tmp_path, capsys):
+        # A(t) of this synthetic model grows like e^(2.8 t): the reference
+        # leaves double range near t = 250, well after the seeds
+        cfg = write_config(tmp_path, {
+            "model": {"name": "synthetic", "params": {"n": 3, "seed": 2}},
+            "t_f": 400.0, "n_steps": 200})
+        for command in ("reference", "qsvd"):
+            code = main([command, "--config", cfg,
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == 3
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "OverflowGuardError"
+            assert 1 <= record["step"] <= 200
+
+    def test_post_selection_starved_names_grid_step(self, tmp_path, capsys):
+        # one shot per dilation circuit: for this rng seed no shot survives
+        # post-selection at grid point 5
+        cfg = write_config(tmp_path, {"n_shots": 1, "dilation": True})
+        code = main(["qsvd", "--config", cfg, "--mode", "sampled", "--seed", "8",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "PostSelectionStarvedError"
+        assert record["step"] == 5
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
