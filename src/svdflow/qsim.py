@@ -10,12 +10,12 @@ Three fidelity modes drive every operation here:
   noisy   - shots plus a parametric noise model (per-gate depolarizing and
             symmetric readout flips)
 
-Gate noise is trajectory-unraveled at the single-execution level
-(`apply_unitary` stochastically applies one uniform Pauli string with the
-per-gate probability). Shot-based estimators instead use the exact
-channel-averaged distribution (`circuit_probs`), which is distributionally
-identical to running every shot as its own independent trajectory - the
-granularity at which hardware repeats a circuit.
+Noise has one representation: `circuit_probs` evolves a density matrix
+through each gate followed by the exact depolarizing channel on the qubits
+the gate touches, in closed form. A multinomial draw from the resulting
+distribution is identical in distribution to running every shot as its own
+independent noisy execution - the granularity at which hardware repeats a
+circuit. `apply_unitary` is the noise-free statevector gate.
 
 Determinism: every stochastic sub-task derives its own RNG from
 (master_seed, step_index, task_kind, ...) via numpy's SeedSequence, so runs
@@ -50,13 +50,6 @@ from .svdeom import (
 )
 
 MODES = ("exact", "sampled", "noisy")
-
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -121,11 +114,6 @@ class MeasRecord:
     def probs(self) -> np.ndarray:
         return self.counts / self.counts.sum()
 
-    @property
-    def stderr(self) -> np.ndarray:
-        p = self.probs
-        return np.sqrt(p * (1.0 - p) / self.counts.sum())
-
 
 @dataclass(frozen=True)
 class StateVec:
@@ -167,20 +155,10 @@ def _apply_matrix(amps: np.ndarray, u: np.ndarray, qubits: Sequence[int]) -> np.
     return np.moveaxis(out, range(k), axes).reshape(-1)
 
 
-def _pauli_string(idx: int, k: int) -> list[np.ndarray]:
-    return [_PAULIS[(idx >> (2 * j)) & 3] for j in range(k)]
-
-
-def apply_unitary(state: StateVec, u: np.ndarray, qubits: Sequence[int] | None = None,
-                  noise: NoiseSpec | None = None,
-                  rng: np.random.Generator | None = None) -> StateVec:
-    """Apply a unitary on a qubit subset, then (optionally) one stochastic
-    depolarizing event on the touched qubits.
-
-    With probability p (p1 for one touched qubit, p2 otherwise) a Pauli
-    string drawn uniformly from all 4^k strings is applied; averaging over
-    trajectories reproduces the depolarizing channel of strength p.
-    """
+def _checked_gate(u: np.ndarray, qubits: Sequence[int] | None
+                  ) -> tuple[np.ndarray, Sequence[int]]:
+    """The gate as a complex matrix with its target qubits (all of the
+    gate's own register when None), after shape and unitarity checks."""
     u = np.asarray(u, dtype=complex)
     if qubits is None:
         qubits = list(range(int(np.log2(u.shape[0]))))
@@ -190,14 +168,15 @@ def apply_unitary(state: StateVec, u: np.ndarray, qubits: Sequence[int] | None =
             f"gate shape {u.shape} does not match {k} target qubits")
     if np.linalg.norm(u.conj().T @ u - np.eye(2**k)) > 1e-10:
         raise InvalidGateError("gate matrix is not unitary")
-    amps = _apply_matrix(state.amps, u, qubits)
-    if noise is not None and noise.any_gate_noise and rng is not None:
-        p = noise.p1 if k == 1 else noise.p2
-        if p > 0.0 and rng.random() < p:
-            idx = int(rng.integers(4**k))
-            for q, pauli in zip(qubits, _pauli_string(idx, k)):
-                amps = _apply_matrix(amps, pauli, [q])
-    return StateVec(n_qubits=state.n_qubits, amps=amps)
+    return u, qubits
+
+
+def apply_unitary(state: StateVec, u: np.ndarray,
+                  qubits: Sequence[int] | None = None) -> StateVec:
+    """Apply a unitary on a qubit subset (the leading qubits when None)."""
+    u, qubits = _checked_gate(u, qubits)
+    return StateVec(n_qubits=state.n_qubits,
+                    amps=_apply_matrix(state.amps, u, qubits))
 
 
 def _apply_channel_unitary(rho: np.ndarray, u: np.ndarray,
@@ -212,15 +191,24 @@ def _apply_channel_unitary(rho: np.ndarray, u: np.ndarray,
 
 def _depolarize(rho: np.ndarray, qubits: Sequence[int], n_qubits: int,
                 p: float) -> np.ndarray:
-    """Exact depolarizing channel on a qubit subset: uniform Pauli average."""
-    k = len(qubits)
-    acc = np.zeros_like(rho)
-    for idx in range(4**k):
-        term = rho
-        for q, pauli in zip(qubits, _pauli_string(idx, k)):
-            term = _apply_channel_unitary(term, pauli, [q], n_qubits)
-        acc += term
-    return (1.0 - p) * rho + (p / 4**k) * acc
+    """Exact depolarizing channel of strength p on the qubit subset Q.
+
+    The uniform average over all 4^k Pauli strings on Q is I/2^k (x) Tr_Q rho
+    (the twirl identity), so the channel is
+    (1 - p) rho + p (I/2^k (x) Tr_Q rho), evaluated with one transpose that
+    moves Q's ket and bra axes last and its inverse.
+    """
+    n, k = n_qubits, len(qubits)
+    # ket qubit q is tensor axis n-1-q, bra qubit q is axis 2n-1-q
+    traced = [n - 1 - q for q in qubits]
+    kept = [a for a in range(n) if a not in traced]
+    perm = kept + [a + n for a in kept] + traced + [a + n for a in traced]
+    r, d = 2 ** (n - k), 2**k
+    blocks = rho.reshape([2] * (2 * n)).transpose(perm).reshape(r, r, d, d)
+    reduced = np.trace(blocks, axis1=2, axis2=3)
+    mixed = np.multiply.outer(reduced, np.eye(d) / d)
+    mixed = mixed.reshape([2] * (2 * n)).transpose(np.argsort(perm))
+    return (1.0 - p) * rho + p * mixed.reshape(rho.shape)
 
 
 def circuit_probs(state: StateVec, gates: Sequence[tuple], noise: NoiseSpec | None
@@ -240,14 +228,9 @@ def circuit_probs(state: StateVec, gates: Sequence[tuple], noise: NoiseSpec | No
     n = state.n_qubits
     rho = np.outer(state.amps, state.amps.conj())
     for u, qubits in gates:
-        u = np.asarray(u, dtype=complex)
-        if qubits is None:
-            qubits = list(range(int(np.log2(u.shape[0]))))
-        k = len(qubits)
-        if np.linalg.norm(u.conj().T @ u - np.eye(2**k)) > 1e-10:
-            raise InvalidGateError("gate matrix is not unitary")
+        u, qubits = _checked_gate(u, qubits)
         rho = _apply_channel_unitary(rho, u, qubits, n)
-        p = noise.p1 if k == 1 else noise.p2
+        p = noise.p1 if len(qubits) == 1 else noise.p2
         if p > 0.0:
             rho = _depolarize(rho, qubits, n, p)
     probs = np.real(np.diag(rho))
@@ -261,18 +244,6 @@ def readout_confusion(n_qubits: int, p_ro: float) -> np.ndarray:
     for _ in range(n_qubits):
         out = np.kron(r1, out)
     return out
-
-
-def sample(state: StateVec, plan: ShotPlan, noise: NoiseSpec | None = None,
-           rng: np.random.Generator | None = None) -> MeasRecord:
-    """Multinomial draw from |amps|^2 with per-qubit readout flips.
-
-    Independent per-shot bit flips compose with the multinomial draw into a
-    single multinomial over the confusion-mixed distribution, which is what
-    is sampled here (identical in distribution, far cheaper).
-    """
-    return sample_probs(np.abs(state.amps) ** 2, state.n_qubits, plan,
-                        noise, rng)
 
 
 def sample_probs(probs: np.ndarray, n_qubits: int, plan: ShotPlan,

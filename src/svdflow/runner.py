@@ -152,9 +152,14 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     if cfg.mode == "exact":
         f = f0
         for i in range(cfg.n_steps):
-            snap = compute_snapshot(f, gen, cfg.tol_degen, cfg.tol_sat)
-            f = step_factors(f, history, gen, h, snapshot=snap,
-                             tol_degen=cfg.tol_degen, tol_sat=cfg.tol_sat)
+            try:
+                snap = compute_snapshot(f, gen, cfg.tol_degen, cfg.tol_sat)
+                f = step_factors(f, history, gen, h, snapshot=snap,
+                                 tol_degen=cfg.tol_degen, tol_sat=cfg.tol_sat)
+            except SvdFlowError as exc:
+                if exc.step is None:
+                    exc.step = i
+                raise
             history = [history[1], snap]
             rows.append(_record_row(f.t, ref_grid[i + 1], f,
                                     _acceptance(cfg, f, i + 1)))

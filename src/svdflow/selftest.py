@@ -54,8 +54,9 @@ def _checks():
     def sampling_deterministic():
         st = qsim.StateVec.from_amplitudes(np.array([0.6, 0.8]))
         plan = qsim.ShotPlan(10_000, rng_seed=11)
-        a = qsim.sample(st, plan)
-        b = qsim.sample(st, plan)
+        probs = np.abs(st.amps) ** 2
+        a = qsim.sample_probs(probs, st.n_qubits, plan)
+        b = qsim.sample_probs(probs, st.n_qubits, plan)
         return np.array_equal(a.counts, b.counts)
 
     return [

@@ -145,6 +145,19 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "DegenerateSingularValuesError"
 
+    def test_exact_guard_names_step(self, tmp_path, capsys):
+        # exact mode: the saturation guard of this model's snapshot trips
+        # near t = 188.5, many steps into the flow
+        cfg = write_config(tmp_path, {
+            "model": {"name": "synthetic", "params": {"n": 2, "seed": 0}},
+            "t_f": 2000.0, "n_steps": 1000, "mode": "exact"})
+        code = main(["qsvd", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "SigmaSaturationError"
+        assert isinstance(record["step"], int)
+        assert 1 <= record["step"] < 1000
+
     def test_reference_overflow_names_grid_step(self, tmp_path, capsys):
         # A(t) of this synthetic model grows like e^(2.8 t): the reference
         # leaves double range near t = 250, well after the seeds

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,36 @@ from svdflow.qsim import (
     propagate_row,
     qsvd_step,
     readout_confusion,
-    sample,
+    sample_probs,
 )
-from svdflow.svdeom import SvdFactors, compute_snapshot, step_factors
+from svdflow.svdeom import SvdFactors, compute_snapshot, sigma_plus, step_factors
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def on_qubits(ops: dict, n_qubits: int) -> np.ndarray:
+    """Dense operator acting with ops[q] on qubit q and identity elsewhere;
+    qubit 0 is the least significant bit, so it is the last kron factor."""
+    out = np.eye(1, dtype=complex)
+    for q in reversed(range(n_qubits)):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
+
+
+def pauli_sum_depolarize(rho, qubits, n_qubits, p):
+    """Reference depolarizing channel: explicit average over all 4^k Pauli
+    strings on the qubits, each built as a dense operator."""
+    acc = np.zeros_like(rho)
+    for string in itertools.product(PAULIS, repeat=len(qubits)):
+        m = on_qubits(dict(zip(qubits, string)), n_qubits)
+        acc += m @ rho @ m.conj().T
+    return (1.0 - p) * rho + (p / 4 ** len(qubits)) * acc
 
 
 class TestPlumbing:
@@ -93,43 +120,55 @@ class TestApplyUnitary:
         out = apply_unitary(st, x, [2])  # most significant qubit
         assert np.abs(out.amps - np.kron(x, np.eye(4)) @ amps).max() <= 1e-14
 
-    def test_full_depolarizing_averages_to_maximally_mixed(self):
-        rng = np.random.default_rng(12)
-        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi /= np.linalg.norm(psi)
-        noise = NoiseSpec(p1=1.0)
-        trials = 4000
-        rho = np.zeros((2, 2), dtype=complex)
-        for _ in range(trials):
-            out = apply_unitary(StateVec(1, psi), np.eye(2), [0], noise, rng)
-            rho += np.outer(out.amps, out.amps.conj())
-        rho /= trials
-        gap = rho - np.eye(2) / 2.0
-        trace_dist = 0.5 * np.abs(np.linalg.eigvalsh(gap)).sum()
-        assert trace_dist <= 3.0 / np.sqrt(trials)
+
+class TestDepolarize:
+    @pytest.fixture
+    def rho(self):
+        rng = np.random.default_rng(21)
+        m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        rho = m @ m.conj().T
+        return rho / np.trace(rho)
+
+    @pytest.mark.parametrize("qubits", [[0], [3], [1, 3], [3, 0], [2, 0, 3],
+                                        [0, 1, 2, 3]])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_matches_pauli_sum_oracle(self, rho, qubits, p):
+        out = qsim._depolarize(rho, qubits, 4, p)
+        assert np.abs(out - pauli_sum_depolarize(rho, qubits, 4, p)).max() <= 1e-14
+        assert abs(np.trace(out) - np.trace(rho)) <= 1e-14
+        assert np.abs(out - out.conj().T).max() <= 1e-14
+
+    def test_full_register_maximally_mixed(self, rho):
+        out = qsim._depolarize(2.0 * rho, [0, 1, 2, 3], 4, 1.0)
+        assert np.abs(out - 2.0 * np.eye(16) / 16).max() <= 1e-14
 
 
 class TestSample:
     def test_basis_state_no_noise(self):
         st = StateVec.from_amplitudes([0.0, 1.0])
-        rec = sample(st, ShotPlan(1000, rng_seed=0))
+        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
+                           ShotPlan(1000, rng_seed=0))
         assert rec.counts[1] == 1000 and rec.counts[0] == 0
 
     def test_uniform_superposition_binomial_error(self):
         st = StateVec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
-        rec = sample(st, ShotPlan(10**6, rng_seed=5))
+        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
+                           ShotPlan(10**6, rng_seed=5))
         assert np.abs(rec.probs - 0.5).max() <= 3.0 * 5e-4
 
     def test_readout_flip_rate(self):
         st = StateVec.from_amplitudes([1.0, 0.0])
-        rec = sample(st, ShotPlan(10**6, rng_seed=8), NoiseSpec(p_ro=0.01))
+        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
+                           ShotPlan(10**6, rng_seed=8), NoiseSpec(p_ro=0.01))
         se = np.sqrt(0.01 * 0.99 / 10**6)
         assert abs(rec.probs[1] - 0.01) <= 3.0 * se
 
     def test_deterministic_per_seed(self):
         st = StateVec.from_amplitudes(np.array([0.6, 0.8]))
-        a = sample(st, ShotPlan(5000, rng_seed=2))
-        b = sample(st, ShotPlan(5000, rng_seed=2))
+        a = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
+                         ShotPlan(5000, rng_seed=2))
+        b = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
+                         ShotPlan(5000, rng_seed=2))
         assert np.array_equal(a.counts, b.counts)
 
     def test_confusion_matrix_stochastic(self):
@@ -252,6 +291,68 @@ class TestDilation:
                                mode="sampled", rng=derive_rng(7, 0))
         assert np.abs(res.probs - exact.probs).max() <= 5e-3
         assert abs(res.acceptance_rate - exact.acceptance_rate) <= 5e-3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_noisy_distribution_matches_dense_reference(self, n, monkeypatch):
+        # n=3 pads to two system qubits plus the ancilla: Hadamards act on
+        # qubit 2 alone and V^T, U on the system subset [0, 1]
+        rng = np.random.default_rng(14)
+        m = rng.standard_normal((n, n))
+        u, s, v = matcore.svd(m)
+        f = SvdFactors.from_svd(u, s, v, 0.0)
+        v0 = rng.standard_normal(n)
+        v0 /= np.linalg.norm(v0)
+        noise = NoiseSpec(p1=0.05, p2=0.1)
+        seen = []
+        circuit_probs = qsim.circuit_probs
+
+        def spy(state, gates, gate_noise):
+            out = circuit_probs(state, gates, gate_noise)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(qsim, "circuit_probs", spy)
+        dilation_circuit(v0, f, ShotPlan(100, rng_seed=1), noise,
+                         mode="noisy", rng=derive_rng(1, 0))
+
+        n_sys = int(np.log2(pad_dim(n)))
+        n_qubits = n_sys + 1
+        dim = 2**n_sys
+        sys_qubits = list(range(n_sys))
+        sp = np.ones(dim, dtype=complex)
+        sp[:n] = sigma_plus(f.tilde)
+        had = on_qubits({n_sys: HAD}, n_qubits)
+        steps = [
+            (had, [n_sys]),
+            (np.kron(np.eye(2), embed_unitary(f.v.T.astype(complex), dim)),
+             sys_qubits),
+            (np.diag(np.concatenate([sp, np.conj(sp)])), list(range(n_qubits))),
+            (np.kron(np.eye(2), embed_unitary(f.u.astype(complex), dim)),
+             sys_qubits),
+            (had, [n_sys]),
+        ]
+        psi = np.zeros(2**n_qubits, dtype=complex)
+        psi[:n] = v0
+        rho = np.outer(psi, psi.conj())
+        for gate, qubits in steps:
+            rho = gate @ rho @ gate.conj().T
+            p = noise.p1 if len(qubits) == 1 else noise.p2
+            rho = pauli_sum_depolarize(rho, qubits, n_qubits, p)
+        assert len(seen) == 1
+        assert np.abs(seen[0] - np.real(np.diag(rho))).max() <= 1e-12
+
+    def test_noiseless_noisy_mode_matches_sampled(self):
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((3, 3))
+        u, s, v = matcore.svd(m)
+        f = SvdFactors.from_svd(u, s, v, 0.0)
+        v0 = np.array([0.6, 0.0, 0.8])
+        plan = ShotPlan(10**4, rng_seed=2)
+        noisy = dilation_circuit(v0, f, plan, NoiseSpec(), mode="noisy",
+                                 rng=derive_rng(2, 0))
+        sampled = dilation_circuit(v0, f, plan, mode="sampled",
+                                   rng=derive_rng(2, 0))
+        assert np.array_equal(noisy.record.counts, sampled.record.counts)
 
 
 class TestQsvdStep:
