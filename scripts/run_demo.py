@@ -8,17 +8,9 @@ import dataclasses
 import json
 import pathlib
 
-import numpy as np
-
 from svdflow.config import RunConfig, build_generator
 from svdflow.odeflow import seed_factors
-from svdflow.runner import (
-    REFERENCE_COLUMNS,
-    compute_reference,
-    run_qsvd,
-    write_csv,
-    write_json,
-)
+from svdflow.runner import compute_reference, run_qsvd, write_csv, write_json
 
 GNUPLOT = """\
 set datafile separator ','
@@ -48,8 +40,7 @@ def main():
     seeds = seed_factors(gen, cfg.t_seed, cfg.step_size,
                          nsub=cfg.seed_substeps, tol_degen=cfg.tol_degen)
     reference = compute_reference(cfg, gen)
-    write_csv(outdir / "reference.csv", REFERENCE_COLUMNS,
-              np.column_stack([reference.times, reference.states]))
+    write_csv(outdir / "reference.csv", reference.columns, reference.rows)
 
     for mode in ("exact", "sampled"):
         run_cfg = dataclasses.replace(cfg, mode=mode)

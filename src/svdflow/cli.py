@@ -21,14 +21,7 @@ import numpy as np
 from . import selftest as selftest_mod
 from .config import build_generator, load_config
 from .errors import ConfigError, NumericalGuardError, ReconstructionError, SvdFlowError
-from .runner import (
-    REFERENCE_COLUMNS,
-    compute_reference,
-    read_csv,
-    run_qsvd,
-    write_csv,
-    write_json,
-)
+from .runner import compute_reference, read_csv, run_qsvd, write_csv, write_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,8 +87,7 @@ def cmd_reference(args) -> int:
     cfg = _config_from_args(args)
     gen = build_generator(cfg)
     ref = compute_reference(cfg, gen)
-    rows = np.column_stack([ref.times, ref.states])
-    write_csv(args.out, REFERENCE_COLUMNS, rows)
+    write_csv(args.out, ref.columns, ref.rows)
     return 0
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidInputError
@@ -36,10 +37,24 @@ from .odeflow import Generator
 from .qsim import MODES, NoiseSpec
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# Value checks by field annotation; noise is checked where it is built.
+_TYPE_CHECKS = {
+    "int": lambda v: _is_real(v) and isinstance(v, numbers.Integral),
+    "float": _is_real,
+    "float | None": lambda v: v is None or _is_real(v),
+    "bool": lambda v: isinstance(v, bool),
+    "dict[str, float]": lambda v: isinstance(v, dict) and all(map(_is_real, v.values())),
+}
+
+
 @dataclass
 class RunConfig:
     model_name: str = "two_state_demo"
-    model_params: dict = field(default_factory=dict)
+    model_params: dict[str, float] = field(default_factory=dict)
     t_seed: float = 50.0
     t_f: float = 1.0e4
     n_steps: int = 400
@@ -60,6 +75,10 @@ class RunConfig:
         return (self.t_f - self.t_seed) / self.n_steps
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS.get(f.type, lambda v: True)(value):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.t_seed <= 0 or self.t_f <= self.t_seed:
             raise ConfigError(f"need 0 < t_seed < t_f, got {self.t_seed}, {self.t_f}")
         if self.n_steps < 3:
@@ -101,6 +120,9 @@ def build_generator(cfg: RunConfig) -> Generator:
             return two_state_generator(_demo_rate_model(cfg.model_params))
         if cfg.model_name == "synthetic":
             p = dict(cfg.model_params)
+            unknown = set(p) - {"n", "seed", "smoothness", "omega", "decay"}
+            if unknown:
+                raise ConfigError(f"unknown synthetic parameters: {sorted(unknown)}")
             return synthetic_generator(
                 n=int(p.pop("n", 2)), seed=int(p.pop("seed", 0)),
                 smoothness=float(p.pop("smoothness", 0.1)), **p)
@@ -133,7 +155,7 @@ def _apply_mapping(cfg: RunConfig, data: dict) -> RunConfig:
             if "name" in value:
                 updates["model_name"] = str(value["name"])
             if "params" in value:
-                updates["model_params"] = dict(value["params"])
+                updates["model_params"] = value["params"]
         elif key == "noise":
             if isinstance(value, NoiseSpec):
                 updates["noise"] = value

@@ -4,8 +4,9 @@ Registers are little-endian: qubit 0 is the least significant bit of the
 basis-state index. Vectors of dimension N are embedded into the next power
 of two with zero padding.
 
-Three fidelity modes drive every operation here:
-  exact   - amplitudes are read directly, no sampling
+Three fidelity modes drive `qsvd_step`, the one step of the factor flow:
+  exact   - no sampling; U and V are updated as whole matrices and phases
+            and amplitudes are read directly
   sampled - multinomial shot sampling of measurement probabilities
   noisy   - shots plus a parametric noise model (per-gate depolarizing and
             symmetric readout flips)
@@ -96,7 +97,6 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class ShotPlan:
     n_shots: int
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_shots < 1:
@@ -108,7 +108,6 @@ class MeasRecord:
     """Counts per basis state with derived estimates."""
 
     counts: np.ndarray
-    n_shots: int
 
     @property
     def probs(self) -> np.ndarray:
@@ -247,17 +246,13 @@ def readout_confusion(n_qubits: int, p_ro: float) -> np.ndarray:
 
 
 def sample_probs(probs: np.ndarray, n_qubits: int, plan: ShotPlan,
-                 noise: NoiseSpec | None = None,
-                 rng: np.random.Generator | None = None) -> MeasRecord:
+                 noise: NoiseSpec | None, rng: np.random.Generator) -> MeasRecord:
     """Multinomial draw from a probability vector with readout flips mixed in."""
-    if rng is None:
-        rng = np.random.default_rng(plan.rng_seed)
     probs = probs / probs.sum()
     if noise is not None and noise.p_ro > 0.0:
         probs = readout_confusion(n_qubits, noise.p_ro) @ probs
         probs = probs / probs.sum()
-    counts = rng.multinomial(plan.n_shots, probs)
-    return MeasRecord(counts=counts, n_shots=plan.n_shots)
+    return MeasRecord(counts=rng.multinomial(plan.n_shots, probs))
 
 
 def _sign_or(values: np.ndarray, fallback: float = 1.0) -> np.ndarray:
@@ -272,12 +267,12 @@ def default_sign_floor(n_shots: int) -> float:
 
 def propagate_row(row: np.ndarray, cay_zt: np.ndarray, prev_signs: np.ndarray,
                   plan: ShotPlan | None = None, noise: NoiseSpec | None = None,
-                  mode: str = "exact", rng: np.random.Generator | None = None,
+                  mode: str = "sampled", rng: np.random.Generator | None = None,
                   sign_floor: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Advance one row of an orthogonal factor under the transposed Cayley map.
 
-    In sampled/noisy modes the updated row is encoded as a quantum state,
-    measured, and rebuilt as sign * sqrt(p_hat). Signs carry over from the
+    The updated row is encoded as a quantum state, measured (sampled or
+    noisy mode), and rebuilt as sign * sqrt(p_hat). Signs carry over from the
     previous step; entries whose measured magnitude falls below the sign
     floor take the sign of the noise-free classical prediction instead.
     """
@@ -285,11 +280,9 @@ def propagate_row(row: np.ndarray, cay_zt: np.ndarray, prev_signs: np.ndarray,
     n = len(row)
     if cay_zt.shape != (n, n):
         raise InvalidInputError("row/matrix dimension mismatch")
+    if plan is None or rng is None:
+        raise InvalidInputError("a measured row needs a ShotPlan and an rng")
     predicted = cay_zt @ row
-    if mode == "exact":
-        return predicted, _sign_or(predicted)
-    if plan is None:
-        raise InvalidInputError("sampled/noisy modes require a ShotPlan")
     gate_noise = noise if mode == "noisy" else None
     state = StateVec.from_amplitudes(row)
     gate = embed_unitary(cay_zt.astype(complex), state.dim)
@@ -433,8 +426,8 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
         probs = np.abs(block[:n]) ** 2 / acceptance
         return DilationResult(probs=probs, acceptance_rate=acceptance,
                               amplitudes=block[:n] / np.sqrt(acceptance))
-    if plan is None:
-        raise InvalidInputError("sampled/noisy modes require a ShotPlan")
+    if plan is None or rng is None:
+        raise InvalidInputError("sampled/noisy modes require a ShotPlan and an rng")
     full_probs = circuit_probs(state, gates, gate_noise)
     rec = sample_probs(full_probs, state.n_qubits, plan, gate_noise, rng)
     accepted = rec.counts[:dim].astype(float)
@@ -449,9 +442,10 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
 
 @dataclass(frozen=True)
 class QsvdState:
-    """Quantum-side representation: factor matrices rebuilt from measured
-    rows (their entries carry the tracked signs), diagonal-unitary phases,
-    and the classically integrated leading singular value."""
+    """Factor state of the step loop: U and V (measured rows carry their
+    tracked signs), the diagonal-unitary phases and the classically
+    integrated leading singular value. Phases lie in [0, pi], the range of
+    arg(tz + i sqrt(1 - tz^2)) that `sigma_plus` and the snapshot assume."""
 
     u: np.ndarray
     v: np.ndarray
@@ -486,12 +480,15 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
               tol_degen: float = DEFAULT_TOL_DEGEN,
               tol_sat: float = DEFAULT_TOL_SAT
               ) -> tuple[QsvdState, GeneratorSnapshot]:
-    """One full step of the emulated-quantum factor propagation.
+    """One step of the factor flow in any fidelity mode.
 
     Returns the advanced state together with the generator snapshot taken at
     the pre-step factors (the caller rolls it into the extrapolation
-    history). Generators are rebuilt from the measured factors and
-    skew-symmetrized, so every Cayley update uses an exactly skew generator.
+    history). Exact mode updates U and V as whole matrices, as
+    `svdeom.step_factors` does, and ignores `project`; sampled and noisy
+    modes measure every row and with `project` map U and V onto the nearest
+    orthogonal matrices. New phases are folded back into [0, pi]: one that
+    crossed 0 would turn the next step's phase generator the wrong way.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown fidelity mode {mode!r}")
@@ -499,24 +496,27 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
         snap = snapshot_from_arrays(state.u, state.tilde, a, state.t,
                                     tol_degen, tol_sat)
         z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
-        cay_zt = cayley(z_mid, h).T
-        cay_wt = cayley(w_mid, h).T
-        n = state.u.shape[0]
-        u_new = np.empty_like(state.u)
-        v_new = np.empty_like(state.v)
-        for i in range(n):
-            rng = derive_rng(master_seed, step_index, 0, i)
-            u_new[i], _ = propagate_row(state.u[i], cay_zt, _sign_or(state.u[i]),
-                                        plan, noise, mode, rng, sign_floor)
-            rng = derive_rng(master_seed, step_index, 1, i)
-            v_new[i], _ = propagate_row(state.v[i], cay_wt, _sign_or(state.v[i]),
-                                        plan, noise, mode, rng, sign_floor)
-        if project:
-            u_new = nearest_orthogonal(u_new)
-            v_new = nearest_orthogonal(v_new)
-        phases_new = evolve_sigma_phase(
+        cay_z = cayley(z_mid, h)
+        cay_w = cayley(w_mid, h)
+        if mode == "exact":
+            u_new = state.u @ cay_z
+            v_new = state.v @ cay_w
+        else:
+            u_new = np.empty_like(state.u)
+            v_new = np.empty_like(state.v)
+            for i in range(state.u.shape[0]):
+                rng = derive_rng(master_seed, step_index, 0, i)
+                u_new[i], _ = propagate_row(state.u[i], cay_z.T, _sign_or(state.u[i]),
+                                            plan, noise, mode, rng, sign_floor)
+                rng = derive_rng(master_seed, step_index, 1, i)
+                v_new[i], _ = propagate_row(state.v[i], cay_w.T, _sign_or(state.v[i]),
+                                            plan, noise, mode, rng, sign_floor)
+            if project:
+                u_new = nearest_orthogonal(u_new)
+                v_new = nearest_orthogonal(v_new)
+        phases_new = np.abs(evolve_sigma_phase(
             state.phases, l_mid, h, plan, noise, mode,
-            rng_factory=lambda j, w: derive_rng(master_seed, step_index, 2, j, w))
+            rng_factory=lambda j, w: derive_rng(master_seed, step_index, 2, j, w)))
         sigma1_new = state.sigma1 * float(np.exp(h * g11_mid))
     except SvdFlowError as exc:
         if exc.step is None:

@@ -1,6 +1,6 @@
 """Pipelines shared by the CLI and the test harness: reference integration,
-factor-flow propagation (classical-exact or emulated-quantum), and CSV/JSON
-output."""
+factor-flow propagation (one step loop over `qsim.qsvd_step` in every
+fidelity mode), and CSV/JSON output."""
 
 from __future__ import annotations
 
@@ -20,19 +20,12 @@ from .qsim import (
     dilation_circuit,
     qsvd_step,
 )
-from .svdeom import (
-    SvdFactors,
-    compute_snapshot,
-    reconstruct_phi,
-    sigma_plus,
-    step_factors,
-)
+from .svdeom import SvdFactors, compute_snapshot, reconstruct_phi, sigma_plus
 
 TRAJECTORY_COLUMNS = (
     "t", "P_D_ref", "P_A_ref", "P_D_qsvd", "P_A_qsvd", "sigma1",
     "ortho_err_U", "ortho_err_V", "sigma_mod_err", "acceptance_rate",
 )
-REFERENCE_COLUMNS = ("t", "P_D_ref", "P_A_ref")
 
 
 def initial_state(dim: int) -> np.ndarray:
@@ -49,6 +42,17 @@ class ReferenceResult:
     @property
     def grid_states(self) -> np.ndarray:
         return self.states[1:]
+
+    @property
+    def columns(self) -> tuple:
+        """t, then P_D_ref, P_A_ref and P_2_ref ... P_{n-1}_ref."""
+        n = self.states.shape[1]
+        names = ["P_D", "P_A", *(f"P_{j}" for j in range(2, n))]
+        return ("t", *(f"{name}_ref" for name in names))
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.column_stack([self.times, self.states])
 
 
 def _grid_step_products(cfg: RunConfig, gen: Generator) -> np.ndarray:
@@ -90,35 +94,30 @@ class QsvdRunResult:
     factors: list         # SvdFactors at every grid point
 
 
-def _record_row(t, p_ref, f: SvdFactors, acc: float) -> list[float]:
+def _record_row(cfg: RunConfig, plan: ShotPlan, step: int, p_ref: np.ndarray,
+                f: SvdFactors) -> list[float]:
+    """CSV row at grid index `step`; acceptance comes from the dilation
+    circuit when it runs (its failures carry `step`), else from Phi v0."""
     v0 = initial_state(f.dim)
     p_q = reconstruct_phi(f) @ v0
+    if cfg.dilation and cfg.mode != "exact":
+        try:
+            acc = dilation_circuit(v0, f, plan, cfg.noise, cfg.mode,
+                                   rng=derive_rng(cfg.rng_seed, step, 3)).acceptance_rate
+        except SvdFlowError as exc:
+            if exc.step is None:
+                exc.step = step
+            raise
+    else:
+        acc = float(p_q @ p_q / f.sigma1**2)
     eye = np.eye(f.dim)
     return [
-        t, p_ref[0], p_ref[1], p_q[0], p_q[1], f.sigma1,
+        f.t, p_ref[0], p_ref[1], p_q[0], p_q[1], f.sigma1,
         float(np.linalg.norm(f.u.T @ f.u - eye)),
         float(np.linalg.norm(f.v.T @ f.v - eye)),
         float(np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0))),
         acc,
     ]
-
-
-def _acceptance(cfg: RunConfig, f: SvdFactors, step: int) -> float:
-    """Acceptance rate of the factors at grid index `step`; a failure of the
-    dilation circuit carries that index."""
-    v0 = initial_state(f.dim)
-    if cfg.dilation and cfg.mode != "exact":
-        plan = ShotPlan(cfg.n_shots, cfg.rng_seed)
-        try:
-            res = dilation_circuit(v0, f, plan, cfg.noise, cfg.mode,
-                                   rng=derive_rng(cfg.rng_seed, step, 3))
-        except SvdFlowError as exc:
-            if exc.step is None:
-                exc.step = step
-            raise
-        return res.acceptance_rate
-    w = reconstruct_phi(f) @ v0
-    return float(w @ w / f.sigma1**2)
 
 
 def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
@@ -127,8 +126,9 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     """Seed, propagate the SVD factors over [t_seed, t_f], and tabulate
     populations against the classical reference.
 
-    mode "exact" runs the noise-free classical factor flow; "sampled" and
-    "noisy" run the emulated-quantum path (measured rows and phases).
+    Every fidelity mode runs the same step loop over `qsvd_step`: "exact"
+    is the noise-free flow, "sampled" and "noisy" measure rows and phases
+    on the emulated device. Guard errors carry the step they tripped at.
     """
     t_start = time.perf_counter()
     gen = build_generator(cfg) if gen is None else gen
@@ -145,38 +145,20 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         compute_snapshot(f_m2, gen, cfg.tol_degen, cfg.tol_sat),
         compute_snapshot(f_m1, gen, cfg.tol_degen, cfg.tol_sat),
     ]
-    rows = [_record_row(f0.t, ref_grid[0], f0, _acceptance(cfg, f0, 0))]
+    plan = ShotPlan(cfg.n_shots)
+    rows = [_record_row(cfg, plan, 0, ref_grid[0], f0)]
     factors = [f0]
-
-    plan = ShotPlan(cfg.n_shots, cfg.rng_seed)
-    if cfg.mode == "exact":
-        f = f0
-        for i in range(cfg.n_steps):
-            try:
-                snap = compute_snapshot(f, gen, cfg.tol_degen, cfg.tol_sat)
-                f = step_factors(f, history, gen, h, snapshot=snap,
-                                 tol_degen=cfg.tol_degen, tol_sat=cfg.tol_sat)
-            except SvdFlowError as exc:
-                if exc.step is None:
-                    exc.step = i
-                raise
-            history = [history[1], snap]
-            rows.append(_record_row(f.t, ref_grid[i + 1], f,
-                                    _acceptance(cfg, f, i + 1)))
-            factors.append(f)
-    else:
-        state = QsvdState.from_factors(f0)
-        for i in range(cfg.n_steps):
-            state, snap = qsvd_step(
-                state, history, gen, h, plan, cfg.noise, cfg.mode,
-                master_seed=cfg.rng_seed, step_index=i, project=cfg.project,
-                sign_floor=cfg.sign_floor, tol_degen=cfg.tol_degen,
-                tol_sat=cfg.tol_sat)
-            history = [history[1], snap]
-            f = state.to_factors()
-            rows.append(_record_row(f.t, ref_grid[i + 1], f,
-                                    _acceptance(cfg, f, i + 1)))
-            factors.append(f)
+    state = QsvdState.from_factors(f0)
+    for i in range(cfg.n_steps):
+        state, snap = qsvd_step(
+            state, history, gen, h, plan, cfg.noise, cfg.mode,
+            master_seed=cfg.rng_seed, step_index=i, project=cfg.project,
+            sign_floor=cfg.sign_floor, tol_degen=cfg.tol_degen,
+            tol_sat=cfg.tol_sat)
+        history = [history[1], snap]
+        f = state.to_factors()
+        rows.append(_record_row(cfg, plan, i + 1, ref_grid[i + 1], f))
+        factors.append(f)
 
     table = np.array(rows)
     dpd = np.abs(table[:, 3] - table[:, 1])

@@ -53,10 +53,10 @@ def _checks():
 
     def sampling_deterministic():
         st = qsim.StateVec.from_amplitudes(np.array([0.6, 0.8]))
-        plan = qsim.ShotPlan(10_000, rng_seed=11)
+        plan = qsim.ShotPlan(10_000)
         probs = np.abs(st.amps) ** 2
-        a = qsim.sample_probs(probs, st.n_qubits, plan)
-        b = qsim.sample_probs(probs, st.n_qubits, plan)
+        a = qsim.sample_probs(probs, st.n_qubits, plan, None, np.random.default_rng(11))
+        b = qsim.sample_probs(probs, st.n_qubits, plan, None, np.random.default_rng(11))
         return np.array_equal(a.counts, b.counts)
 
     return [

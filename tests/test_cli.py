@@ -132,6 +132,33 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("extra", [
+        {"model": {"params": 5}},
+        {"model": {"params": {"k0_da": "fast"}}},
+        {"n_steps": "400"},
+        {"n_steps": 40.5},
+        {"model": {"name": "synthetic", "params": {"n": 2, "bogus": 1}}},
+        {"project": "no"},
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, extra)
+        code = main(["qsvd", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reference_names_every_component(self, tmp_path, n):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "synthetic", "params": {"n": n, "seed": 3}},
+            "t_seed": 1.0, "t_f": 1.2})
+        out = str(tmp_path / "ref.csv")
+        assert main(["reference", "--config", cfg, "--out", out]) == 0
+        header, data = read_csv(out)
+        assert header == ["t", "P_D_ref", "P_A_ref",
+                          *(f"P_{j}_ref" for j in range(2, n))]
+        assert data.shape[1] == len(header)
+
     def test_numerical_guard_exit_code(self, tmp_path, capsys):
         # a model with zero back-transfer keeps the flow near-unitary at
         # short times, tripping the seed degeneracy guard

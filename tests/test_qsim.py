@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_factors
 from svdflow import matcore, qsim
+from svdflow.config import RunConfig, build_generator
 from svdflow.errors import InvalidGateError, InvalidInputError
-from svdflow.odeflow import Generator
+from svdflow.odeflow import Generator, seed_factors
 from svdflow.qsim import (
     NoiseSpec,
     QsvdState,
@@ -24,7 +25,13 @@ from svdflow.qsim import (
     readout_confusion,
     sample_probs,
 )
-from svdflow.svdeom import SvdFactors, compute_snapshot, sigma_plus, step_factors
+from svdflow.svdeom import (
+    SvdFactors,
+    compute_snapshot,
+    reconstruct_phi,
+    sigma_plus,
+    step_factors,
+)
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 PAULIS = (
@@ -146,29 +153,29 @@ class TestDepolarize:
 class TestSample:
     def test_basis_state_no_noise(self):
         st = StateVec.from_amplitudes([0.0, 1.0])
-        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
-                           ShotPlan(1000, rng_seed=0))
+        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(1000),
+                           None, np.random.default_rng(0))
         assert rec.counts[1] == 1000 and rec.counts[0] == 0
 
     def test_uniform_superposition_binomial_error(self):
         st = StateVec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
-        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
-                           ShotPlan(10**6, rng_seed=5))
+        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
+                           None, np.random.default_rng(5))
         assert np.abs(rec.probs - 0.5).max() <= 3.0 * 5e-4
 
     def test_readout_flip_rate(self):
         st = StateVec.from_amplitudes([1.0, 0.0])
-        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
-                           ShotPlan(10**6, rng_seed=8), NoiseSpec(p_ro=0.01))
+        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
+                           NoiseSpec(p_ro=0.01), np.random.default_rng(8))
         se = np.sqrt(0.01 * 0.99 / 10**6)
         assert abs(rec.probs[1] - 0.01) <= 3.0 * se
 
     def test_deterministic_per_seed(self):
         st = StateVec.from_amplitudes(np.array([0.6, 0.8]))
-        a = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
-                         ShotPlan(5000, rng_seed=2))
-        b = sample_probs(np.abs(st.amps) ** 2, st.n_qubits,
-                         ShotPlan(5000, rng_seed=2))
+        a = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(5000),
+                         None, np.random.default_rng(2))
+        b = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(5000),
+                         None, np.random.default_rng(2))
         assert np.array_equal(a.counts, b.counts)
 
     def test_confusion_matrix_stochastic(self):
@@ -180,7 +187,7 @@ class TestSample:
 class TestPropagateRow:
     def test_identity_map_exact_limit(self):
         row = np.array([0.8, -0.6])
-        plan = ShotPlan(10**6, rng_seed=1)
+        plan = ShotPlan(10**6)
         out, signs = propagate_row(row, np.eye(2), np.sign(row), plan,
                                    mode="sampled", rng=derive_rng(1, 0))
         assert np.array_equal(signs, np.sign(row))
@@ -190,7 +197,7 @@ class TestPropagateRow:
         th = 0.1
         rot_t = np.array([[np.cos(th), -np.sin(th)],
                           [np.sin(th), np.cos(th)]]).T
-        plan = ShotPlan(10**6, rng_seed=3)
+        plan = ShotPlan(10**6)
         out, signs = propagate_row(np.array([1.0, 0.0]), rot_t.T,
                                    np.array([1.0, 1.0]), plan,
                                    mode="sampled", rng=derive_rng(3, 0))
@@ -202,19 +209,13 @@ class TestPropagateRow:
         # magnitude falls below the floor and the sign comes from the
         # classical prediction instead of the stale previous sign
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        plan = ShotPlan(10**4, rng_seed=4)
+        plan = ShotPlan(10**4)
         out, signs = propagate_row(np.array([1.0, 0.0]), rot.T,
                                    np.array([-1.0, -1.0]), plan,
                                    mode="sampled", rng=derive_rng(4, 0))
         predicted = rot.T @ np.array([1.0, 0.0])
         assert signs[0] == np.sign(predicted[0]) or predicted[0] == 0.0
         assert abs(out[1]) >= 0.99
-
-    def test_exact_mode_is_classical(self):
-        rot = matcore.cayley(np.array([[0.0, 0.2], [-0.2, 0.0]]), 1.0)
-        row = np.array([0.6, 0.8])
-        out, _ = propagate_row(row, rot.T, np.sign(row), mode="exact")
-        assert np.array_equal(out, rot.T @ row)
 
     def test_requires_plan(self):
         with pytest.raises(InvalidInputError):
@@ -237,7 +238,7 @@ class TestEvolveSigmaPhase:
 
     def test_planted_phase_recovery(self):
         phi = np.pi / 3.0
-        plan = ShotPlan(10**6, rng_seed=6)
+        plan = ShotPlan(10**6)
         out = evolve_sigma_phase(
             np.array([0.0, phi]), np.zeros(2), 1.0, plan, mode="sampled",
             rng_factory=lambda j, w: derive_rng(6, j, w))
@@ -246,7 +247,7 @@ class TestEvolveSigmaPhase:
 
     def test_zero_generator_sampled_near_identity(self):
         phases = np.array([0.0, 0.4, -0.9, 1.3])
-        plan = ShotPlan(10**6, rng_seed=9)
+        plan = ShotPlan(10**6)
         out = evolve_sigma_phase(
             phases, np.zeros(4), 1.0, plan, mode="sampled",
             rng_factory=lambda j, w: derive_rng(9, j, w))
@@ -287,7 +288,7 @@ class TestDilation:
         f = SvdFactors.from_svd(u, s, v, 0.0)
         v0 = np.array([1.0, 0.0])
         exact = dilation_circuit(v0, f, mode="exact")
-        res = dilation_circuit(v0, f, ShotPlan(10**6, rng_seed=7),
+        res = dilation_circuit(v0, f, ShotPlan(10**6),
                                mode="sampled", rng=derive_rng(7, 0))
         assert np.abs(res.probs - exact.probs).max() <= 5e-3
         assert abs(res.acceptance_rate - exact.acceptance_rate) <= 5e-3
@@ -312,7 +313,7 @@ class TestDilation:
             return out
 
         monkeypatch.setattr(qsim, "circuit_probs", spy)
-        dilation_circuit(v0, f, ShotPlan(100, rng_seed=1), noise,
+        dilation_circuit(v0, f, ShotPlan(100), noise,
                          mode="noisy", rng=derive_rng(1, 0))
 
         n_sys = int(np.log2(pad_dim(n)))
@@ -347,7 +348,7 @@ class TestDilation:
         u, s, v = matcore.svd(m)
         f = SvdFactors.from_svd(u, s, v, 0.0)
         v0 = np.array([0.6, 0.0, 0.8])
-        plan = ShotPlan(10**4, rng_seed=2)
+        plan = ShotPlan(10**4)
         noisy = dilation_circuit(v0, f, plan, NoiseSpec(), mode="noisy",
                                  rng=derive_rng(2, 0))
         sampled = dilation_circuit(v0, f, plan, mode="sampled",
@@ -373,12 +374,34 @@ class TestQsvdStep:
         assert np.abs(emulated.tilde - classical.tilde).max() <= 1e-10
         assert np.isclose(emulated.sigma1, classical.sigma1, rtol=1e-12)
 
+    def test_exact_mode_follows_step_factors_across_phase_crossing(self):
+        # on this model a phase crosses 0 within the first steps; unless the
+        # phase is folded back into [0, pi], the emulated flow turns the
+        # wrong way there and leaves the oracle
+        cfg = RunConfig(model_name="synthetic", model_params={"n": 2, "seed": 0},
+                        t_seed=5.0, t_f=2000.0, n_steps=1000,
+                        seed_substeps=2000).validate()
+        gen = build_generator(cfg)
+        h = cfg.step_size
+        seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
+        history = [compute_snapshot(x, gen) for x in seeds[:2]]
+        f = seeds[2]
+        state = QsvdState.from_factors(f)
+        for i in range(12):
+            snap = compute_snapshot(f, gen)
+            f = step_factors(f, history, gen, h, snapshot=snap)
+            state, _ = qsvd_step(state, history, gen, h, step_index=i)
+            history = [history[1], snap]
+            phi = reconstruct_phi(f)
+            gap = np.linalg.norm(reconstruct_phi(state.to_factors()) - phi)
+            assert gap <= 1e-10 * np.linalg.norm(phi), f"step {i}"
+
     def test_sampled_row_error_scale(self, demo_cfg, demo_gen, demo_seeds):
         f, history = self._setup(demo_gen, demo_seeds)
         h = demo_cfg.step_size
         classical = step_factors(f, history, demo_gen, h)
         state, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h,
-                             ShotPlan(10**6, 0), mode="sampled",
+                             ShotPlan(10**6), mode="sampled",
                              master_seed=1234)
         gap = np.abs(state.u - classical.u).max()
         assert 0.0 < gap <= 1e-2  # binomial magnitude error at 1e6 shots
@@ -392,7 +415,7 @@ class TestQsvdStep:
         snap = compute_snapshot(f, gen)
         history = [snap, snap]
         state = QsvdState.from_factors(f)
-        plan = ShotPlan(10**5, 0)
+        plan = ShotPlan(10**5)
         for i in range(400):
             state, snap = qsvd_step(state, history, gen, 0.1, plan,
                                     mode="sampled", master_seed=99,
@@ -412,7 +435,7 @@ class TestQsvdStep:
     def test_deterministic(self, demo_cfg, demo_gen, demo_seeds):
         f, history = self._setup(demo_gen, demo_seeds)
         h = demo_cfg.step_size
-        kw = dict(plan=ShotPlan(10**4, 0), noise=NoiseSpec(1e-3, 1e-2, 1e-2),
+        kw = dict(plan=ShotPlan(10**4), noise=NoiseSpec(1e-3, 1e-2, 1e-2),
                   mode="noisy", master_seed=5, step_index=3)
         a, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h, **kw)
         b, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h, **kw)
