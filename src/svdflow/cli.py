@@ -20,7 +20,7 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .config import build_generator, load_config
-from .errors import ConfigError, NumericalGuardError, ReconstructionError, SvdFlowError
+from .errors import ConfigError, SvdFlowError
 from .runner import compute_reference, read_csv, run_qsvd, write_csv, write_json
 
 
@@ -162,13 +162,7 @@ def main(argv=None) -> int:
         if exc.step is not None:
             record["step"] = exc.step
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        if isinstance(exc, ConfigError):
-            return 2
-        if isinstance(exc, NumericalGuardError):
-            return 3
-        if isinstance(exc, ReconstructionError):
-            return 4
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

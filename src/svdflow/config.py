@@ -15,7 +15,6 @@ Config file schema (JSON, all fields optional):
       "ref_refine": 50,
       "tol_degen": 1e-8,
       "tol_sat": 1e-6,
-      "sign_floor": null,
       "project": false,
       "dilation": false
     }
@@ -45,7 +44,6 @@ def _is_real(v) -> bool:
 _TYPE_CHECKS = {
     "int": lambda v: _is_real(v) and isinstance(v, numbers.Integral),
     "float": _is_real,
-    "float | None": lambda v: v is None or _is_real(v),
     "bool": lambda v: isinstance(v, bool),
     "dict[str, float]": lambda v: isinstance(v, dict) and all(map(_is_real, v.values())),
 }
@@ -66,7 +64,6 @@ class RunConfig:
     ref_refine: int = 50
     tol_degen: float = 1e-8
     tol_sat: float = 1e-6
-    sign_floor: float | None = None
     project: bool = False
     dilation: bool = False
 
@@ -123,8 +120,11 @@ def build_generator(cfg: RunConfig) -> Generator:
             unknown = set(p) - {"n", "seed", "smoothness", "omega", "decay"}
             if unknown:
                 raise ConfigError(f"unknown synthetic parameters: {sorted(unknown)}")
+            for key in ("n", "seed"):
+                if key in p and not _TYPE_CHECKS["int"](p[key]):
+                    raise ConfigError(f"synthetic {key} must be int, got {p[key]!r}")
             return synthetic_generator(
-                n=int(p.pop("n", 2)), seed=int(p.pop("seed", 0)),
+                n=p.pop("n", 2), seed=p.pop("seed", 0),
                 smoothness=float(p.pop("smoothness", 0.1)), **p)
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from exc

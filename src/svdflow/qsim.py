@@ -2,7 +2,10 @@
 
 Registers are little-endian: qubit 0 is the least significant bit of the
 basis-state index. Vectors of dimension N are embedded into the next power
-of two with zero padding.
+of two with zero padding. Every gate is a full-register matrix, applied as
+one product (`u @ amps`, or `u @ rho @ u^dagger` on a density matrix);
+a gate on part of the register is built with `np.kron`, and the qubit list
+that comes with a gate names only the qubits its depolarizing noise acts on.
 
 Three fidelity modes drive `qsvd_step`, the one step of the factor flow:
   exact   - no sampling; U and V are updated as whole matrices and phases
@@ -13,7 +16,7 @@ Three fidelity modes drive `qsvd_step`, the one step of the factor flow:
 
 Noise has one representation: `circuit_probs` evolves a density matrix
 through each gate followed by the exact depolarizing channel on the qubits
-the gate touches, in closed form. A multinomial draw from the resulting
+listed with the gate, in closed form. A multinomial draw from the resulting
 distribution is identical in distribution to running every shot as its own
 independent noisy execution - the granularity at which hardware repeats a
 circuit. `apply_unitary` is the noise-free statevector gate.
@@ -26,6 +29,8 @@ order.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -86,8 +91,10 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("p1", "p2", "p_ro"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidInputError(f"noise probability {name}={v} outside [0, 1]")
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not 0.0 <= v <= 1.0):
+                raise InvalidInputError(
+                    f"noise probability {name}={v!r} is not a real number in [0, 1]")
 
     @property
     def any_gate_noise(self) -> bool:
@@ -139,53 +146,25 @@ class StateVec:
         return len(self.amps)
 
 
-def _apply_matrix(amps: np.ndarray, u: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix on the given qubits of a statevector."""
-    n = int(np.log2(len(amps)))
-    k = len(qubits)
-    tensor = amps.reshape([2] * n)
-    # numpy axis 0 is the most significant bit; qubit q lives on axis n-1-q.
-    # The gate index uses qubits[0] as its least significant bit, so the
-    # axes are pulled to the front in reversed qubit order.
-    axes = [n - 1 - q for q in reversed(qubits)]
-    moved = np.moveaxis(tensor, axes, range(k))
-    shape = moved.shape
-    out = (u @ moved.reshape(2**k, -1)).reshape(shape)
-    return np.moveaxis(out, range(k), axes).reshape(-1)
-
-
-def _checked_gate(u: np.ndarray, qubits: Sequence[int] | None
+def _checked_gate(u: np.ndarray, qubits: Sequence[int] | None, n_qubits: int
                   ) -> tuple[np.ndarray, Sequence[int]]:
-    """The gate as a complex matrix with its target qubits (all of the
-    gate's own register when None), after shape and unitarity checks."""
+    """The full-register gate as a complex matrix with the qubits its noise
+    acts on (the whole register when None), after shape and unitarity
+    checks."""
     u = np.asarray(u, dtype=complex)
-    if qubits is None:
-        qubits = list(range(int(np.log2(u.shape[0]))))
-    k = len(qubits)
-    if u.shape != (2**k, 2**k):
+    dim = 2**n_qubits
+    if u.shape != (dim, dim):
         raise InvalidInputError(
-            f"gate shape {u.shape} does not match {k} target qubits")
-    if np.linalg.norm(u.conj().T @ u - np.eye(2**k)) > 1e-10:
+            f"gate shape {u.shape} does not match a {n_qubits}-qubit register")
+    if np.linalg.norm(u.conj().T @ u - np.eye(dim)) > 1e-10:
         raise InvalidGateError("gate matrix is not unitary")
-    return u, qubits
+    return u, range(n_qubits) if qubits is None else qubits
 
 
-def apply_unitary(state: StateVec, u: np.ndarray,
-                  qubits: Sequence[int] | None = None) -> StateVec:
-    """Apply a unitary on a qubit subset (the leading qubits when None)."""
-    u, qubits = _checked_gate(u, qubits)
-    return StateVec(n_qubits=state.n_qubits,
-                    amps=_apply_matrix(state.amps, u, qubits))
-
-
-def _apply_channel_unitary(rho: np.ndarray, u: np.ndarray,
-                           qubits: Sequence[int], n_qubits: int) -> np.ndarray:
-    """U rho U^dagger, treating rho.flatten() as a 2n-qubit vector: ket qubit
-    q sits at flattened position q + n_qubits, bra qubit q at position q."""
-    flat = rho.reshape(-1)
-    flat = _apply_matrix(flat, u, [q + n_qubits for q in qubits])
-    flat = _apply_matrix(flat, np.conj(u), list(qubits))
-    return flat.reshape(rho.shape)
+def apply_unitary(state: StateVec, u: np.ndarray) -> StateVec:
+    """Apply a full-register unitary to a statevector."""
+    u, _ = _checked_gate(u, None, state.n_qubits)
+    return StateVec(n_qubits=state.n_qubits, amps=u @ state.amps)
 
 
 def _depolarize(rho: np.ndarray, qubits: Sequence[int], n_qubits: int,
@@ -214,21 +193,23 @@ def circuit_probs(state: StateVec, gates: Sequence[tuple], noise: NoiseSpec | No
                   ) -> np.ndarray:
     """Measurement probabilities after a gate list [(u, qubits), ...].
 
-    Without gate noise this is a pure statevector run. With gate noise the
-    exact depolarizing channel is applied per gate on a density matrix; a
-    multinomial draw from the result is distributionally identical to
+    Each u is a full-register matrix (little-endian, like the register);
+    qubits (None for all) names only the qubits its depolarizing noise acts
+    on. Without gate noise this is a pure statevector run. With gate noise
+    the exact depolarizing channel is applied per gate on a density matrix;
+    a multinomial draw from the result is distributionally identical to
     running each shot as an independent Pauli trajectory (iid per shot),
     which is how hardware executes repeated circuits.
     """
     if noise is None or not noise.any_gate_noise:
-        for u, qubits in gates:
-            state = apply_unitary(state, u, qubits)
+        for u, _ in gates:
+            state = apply_unitary(state, u)
         return np.abs(state.amps) ** 2
     n = state.n_qubits
     rho = np.outer(state.amps, state.amps.conj())
     for u, qubits in gates:
-        u, qubits = _checked_gate(u, qubits)
-        rho = _apply_channel_unitary(rho, u, qubits, n)
+        u, qubits = _checked_gate(u, qubits, n)
+        rho = u @ rho @ u.conj().T
         p = noise.p1 if len(qubits) == 1 else noise.p2
         if p > 0.0:
             rho = _depolarize(rho, qubits, n, p)
@@ -236,12 +217,15 @@ def circuit_probs(state: StateVec, gates: Sequence[tuple], noise: NoiseSpec | No
     return np.clip(probs, 0.0, None)
 
 
+@functools.lru_cache(maxsize=64)
 def readout_confusion(n_qubits: int, p_ro: float) -> np.ndarray:
-    """Full-register confusion matrix for independent symmetric bit flips."""
+    """Full-register confusion matrix for independent symmetric bit flips,
+    built once per (n_qubits, p_ro) and returned read-only."""
     r1 = np.array([[1.0 - p_ro, p_ro], [p_ro, 1.0 - p_ro]])
     out = np.array([[1.0]])
     for _ in range(n_qubits):
         out = np.kron(r1, out)
+    out.flags.writeable = False
     return out
 
 
@@ -267,8 +251,8 @@ def default_sign_floor(n_shots: int) -> float:
 
 def propagate_row(row: np.ndarray, cay_zt: np.ndarray, prev_signs: np.ndarray,
                   plan: ShotPlan | None = None, noise: NoiseSpec | None = None,
-                  mode: str = "sampled", rng: np.random.Generator | None = None,
-                  sign_floor: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  mode: str = "sampled", rng: np.random.Generator | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one row of an orthogonal factor under the transposed Cayley map.
 
     The updated row is encoded as a quantum state, measured (sampled or
@@ -293,8 +277,8 @@ def propagate_row(row: np.ndarray, cay_zt: np.ndarray, prev_signs: np.ndarray,
     if total == 0.0:
         raise RowReconstructionError("all sampled row magnitudes are zero")
     mags = np.sqrt(p / total)
-    floor = default_sign_floor(plan.n_shots) if sign_floor is None else sign_floor
-    signs = np.where(mags >= floor, prev_signs, _sign_or(predicted))
+    signs = np.where(mags >= default_sign_floor(plan.n_shots), prev_signs,
+                     _sign_or(predicted))
     new_row = signs * mags
     return new_row, signs
 
@@ -401,7 +385,8 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
     amps[:n] = v0
     state = StateVec(n_qubits=n_sys + 1, amps=amps)
     gate_noise = noise if mode == "noisy" else None
-    had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+    had = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+                  np.eye(dim))
     sys_qubits = list(range(n_sys))
 
     sp = np.ones(dim, dtype=complex)
@@ -410,15 +395,17 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
 
     gates = [
         (had, [anc]),
-        (embed_unitary(f.v.T.astype(complex), dim), sys_qubits),
+        (np.kron(np.eye(2), embed_unitary(f.v.T.astype(complex), dim)),
+         sys_qubits),
         (u_sigma, list(range(n_sys + 1))),
-        (embed_unitary(f.u.astype(complex), dim), sys_qubits),
+        (np.kron(np.eye(2), embed_unitary(f.u.astype(complex), dim)),
+         sys_qubits),
         (had, [anc]),
     ]
 
     if mode == "exact":
-        for u, qubits in gates:
-            state = apply_unitary(state, u, qubits)
+        for u, _ in gates:
+            state = apply_unitary(state, u)
         block = state.amps[:dim]
         acceptance = float(np.sum(np.abs(block) ** 2))
         if acceptance == 0.0:
@@ -476,8 +463,7 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
               h: float, plan: ShotPlan | None = None,
               noise: NoiseSpec | None = None, mode: str = "exact",
               master_seed: int = 0, step_index: int = 0,
-              project: bool = False, sign_floor: float | None = None,
-              tol_degen: float = DEFAULT_TOL_DEGEN,
+              project: bool = False, tol_degen: float = DEFAULT_TOL_DEGEN,
               tol_sat: float = DEFAULT_TOL_SAT
               ) -> tuple[QsvdState, GeneratorSnapshot]:
     """One step of the factor flow in any fidelity mode.
@@ -507,10 +493,10 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
             for i in range(state.u.shape[0]):
                 rng = derive_rng(master_seed, step_index, 0, i)
                 u_new[i], _ = propagate_row(state.u[i], cay_z.T, _sign_or(state.u[i]),
-                                            plan, noise, mode, rng, sign_floor)
+                                            plan, noise, mode, rng)
                 rng = derive_rng(master_seed, step_index, 1, i)
                 v_new[i], _ = propagate_row(state.v[i], cay_w.T, _sign_or(state.v[i]),
-                                            plan, noise, mode, rng, sign_floor)
+                                            plan, noise, mode, rng)
             if project:
                 u_new = nearest_orthogonal(u_new)
                 v_new = nearest_orthogonal(v_new)

@@ -153,8 +153,7 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         state, snap = qsvd_step(
             state, history, gen, h, plan, cfg.noise, cfg.mode,
             master_seed=cfg.rng_seed, step_index=i, project=cfg.project,
-            sign_floor=cfg.sign_floor, tol_degen=cfg.tol_degen,
-            tol_sat=cfg.tol_sat)
+            tol_degen=cfg.tol_degen, tol_sat=cfg.tol_sat)
         history = [history[1], snap]
         f = state.to_factors()
         rows.append(_record_row(cfg, plan, i + 1, ref_grid[i + 1], f))

@@ -139,6 +139,10 @@ class TestCli:
         {"n_steps": 40.5},
         {"model": {"name": "synthetic", "params": {"n": 2, "bogus": 1}}},
         {"project": "no"},
+        {"model": {"name": "synthetic", "params": {"n": 2.7, "seed": 3.9}}},
+        {"model": {"name": "synthetic", "params": {"n": 2, "seed": 3.9}}},
+        {"noise": {"p1": True}},
+        {"sign_floor": 0.01},
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, extra)
