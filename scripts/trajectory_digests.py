@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Fingerprint the trajectory CSVs of an rng-seed ensemble.
+
+    python scripts/trajectory_digests.py --config F --seed S --members K
+
+Runs `svdflow qsvd --config F --seed s` for the member seeds
+s = S + j * 1000003 (j = 0 .. K-1, the ensemble stride of perfbench) and
+prints one line per member: the seed and the sha256 of its trajectory CSV,
+or `ErrorClass@step` when the run stops on a guard. svdflow is imported
+from this checkout's src/, so running the script on two trees and diffing
+the outputs checks that a change keeps every trajectory byte for byte.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from svdflow.cli import main as svdflow_main  # noqa: E402
+
+MEMBER_STRIDE = 1_000_003
+
+
+def digest(config: str, seed: int, workdir: pathlib.Path) -> str:
+    out = workdir / f"member{seed}.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = svdflow_main(["qsvd", "--config", config, "--seed", str(seed),
+                             "--out", str(out)])
+    if code != 0:
+        record = json.loads(err.getvalue().strip().splitlines()[-1])
+        return f"{record['error']}@{record.get('step')}"
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--config", required=True, help="svdflow JSON config file")
+    parser.add_argument("--seed", type=int, required=True, help="seed of member 0")
+    parser.add_argument("--members", type=int, default=1)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        for j in range(args.members):
+            seed = args.seed + j * MEMBER_STRIDE
+            print(f"{seed} {digest(args.config, seed, pathlib.Path(tmp))}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

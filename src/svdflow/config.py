@@ -88,6 +88,11 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed_substeps < 3 or self.ref_refine < 1:
             raise ConfigError("seed_substeps must be >= 3 and ref_refine >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.dilation and not self.project and self.mode != "exact":
+            raise ConfigError(f"dilation in {self.mode} mode needs project: "
+                              "measured factors are not orthogonal")
         return self
 
 
@@ -121,8 +126,8 @@ def build_generator(cfg: RunConfig) -> Generator:
             if unknown:
                 raise ConfigError(f"unknown synthetic parameters: {sorted(unknown)}")
             for key in ("n", "seed"):
-                if key in p and not _TYPE_CHECKS["int"](p[key]):
-                    raise ConfigError(f"synthetic {key} must be int, got {p[key]!r}")
+                if key in p and not (_TYPE_CHECKS["int"](p[key]) and p[key] >= 0):
+                    raise ConfigError(f"synthetic {key} must be an int >= 0, got {p[key]!r}")
             return synthetic_generator(
                 n=p.pop("n", 2), seed=p.pop("seed", 0),
                 smoothness=float(p.pop("smoothness", 0.1)), **p)

@@ -6,6 +6,8 @@ of two with zero padding. Every gate is a full-register matrix, applied as
 one product (`u @ amps`, or `u @ rho @ u^dagger` on a density matrix);
 a gate on part of the register is built with `np.kron`, and the qubit list
 that comes with a gate names only the qubits its depolarizing noise acts on.
+States (..., 2^n) and gates (B, 2^n, 2^n) may be stacks that broadcast, so the
+rows of a factor run as one circuit, and so does each interferometer family.
 
 Three fidelity modes drive `qsvd_step`, the one step of the factor flow:
   exact   - no sampling; U and V are updated as whole matrices and phases
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,60 +113,52 @@ class ShotPlan:
 
 
 @dataclass(frozen=True)
-class MeasRecord:
-    """Counts per basis state with derived estimates."""
-
-    counts: np.ndarray
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
-
-
-@dataclass(frozen=True)
 class StateVec:
+    """Amplitudes (..., 2^n_qubits): one state or a stack of states."""
+
     n_qubits: int
     amps: np.ndarray
 
     def __post_init__(self):
-        if len(self.amps) != 2**self.n_qubits:
+        if self.amps.shape[-1:] != (2**self.n_qubits,):
             raise InvalidInputError("amplitude count must be 2**n_qubits")
-        norm = np.linalg.norm(self.amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidInputError(f"state norm {norm} deviates from 1")
+        norm_sq = np.vecdot(self.amps, self.amps).real  # |norm - 1| <= 1e-12
+        if ((norm_sq < (1 - 1e-12) ** 2) | (norm_sq > (1 + 1e-12) ** 2)).any():
+            raise InvalidInputError(f"state norm {np.sqrt(norm_sq)} deviates from 1")
 
     @classmethod
     def from_amplitudes(cls, vec: Sequence[complex]) -> "StateVec":
         vec = np.asarray(vec, dtype=complex)
-        dim = max(2, pad_dim(len(vec)))
-        amps = np.zeros(dim, dtype=complex)
-        amps[: len(vec)] = vec
+        n = vec.shape[-1]
+        dim = max(2, pad_dim(n))
+        amps = np.zeros((*vec.shape[:-1], dim), dtype=complex)
+        amps[..., :n] = vec
         return cls(n_qubits=int(np.log2(dim)), amps=amps)
 
     @property
     def dim(self) -> int:
-        return len(self.amps)
+        return self.amps.shape[-1]
 
 
 def _checked_gate(u: np.ndarray, qubits: Sequence[int] | None, n_qubits: int
                   ) -> tuple[np.ndarray, Sequence[int]]:
-    """The full-register gate as a complex matrix with the qubits its noise
-    acts on (the whole register when None), after shape and unitarity
-    checks."""
+    """The full-register gate (or a stack) as a complex array with the qubits
+    its noise acts on (the whole register when None), after shape and
+    unitarity checks; one norm over a stack bounds every member's."""
     u = np.asarray(u, dtype=complex)
     dim = 2**n_qubits
-    if u.shape != (dim, dim):
+    if u.shape[-2:] != (dim, dim):
         raise InvalidInputError(
             f"gate shape {u.shape} does not match a {n_qubits}-qubit register")
-    if np.linalg.norm(u.conj().T @ u - np.eye(dim)) > 1e-10:
+    if np.linalg.norm(u.conj().mT @ u - np.eye(dim)) > 1e-10:
         raise InvalidGateError("gate matrix is not unitary")
     return u, range(n_qubits) if qubits is None else qubits
 
 
 def apply_unitary(state: StateVec, u: np.ndarray) -> StateVec:
-    """Apply a full-register unitary to a statevector."""
+    """Apply a full-register unitary to a statevector; stacks broadcast."""
     u, _ = _checked_gate(u, None, state.n_qubits)
-    return StateVec(n_qubits=state.n_qubits, amps=u @ state.amps)
+    return StateVec(n_qubits=state.n_qubits, amps=np.matvec(u, state.amps))
 
 
 def _depolarize(rho: np.ndarray, qubits: Sequence[int], n_qubits: int,
@@ -174,28 +168,31 @@ def _depolarize(rho: np.ndarray, qubits: Sequence[int], n_qubits: int,
     The uniform average over all 4^k Pauli strings on Q is I/2^k (x) Tr_Q rho
     (the twirl identity), so the channel is
     (1 - p) rho + p (I/2^k (x) Tr_Q rho), evaluated with one transpose that
-    moves Q's ket and bra axes last and its inverse.
+    moves Q's ket and bra axes last and its inverse. Leading stack axes of
+    rho (..., 2^n, 2^n) are carried through.
     """
     n, k = n_qubits, len(qubits)
-    # ket qubit q is tensor axis n-1-q, bra qubit q is axis 2n-1-q
-    traced = [n - 1 - q for q in qubits]
-    kept = [a for a in range(n) if a not in traced]
-    perm = kept + [a + n for a in kept] + traced + [a + n for a in traced]
+    lead = rho.shape[:-2]
+    shape = (*lead, *[2] * (2 * n))
+    # counted from the end, ket qubit q is axis -1-n-q and bra qubit q -1-q
+    axes_q = [-1 - n - q for q in qubits] + [-1 - q for q in qubits]
+    last = range(-2 * k, 0)
     r, d = 2 ** (n - k), 2**k
-    blocks = rho.reshape([2] * (2 * n)).transpose(perm).reshape(r, r, d, d)
-    reduced = np.trace(blocks, axis1=2, axis2=3)
-    mixed = np.multiply.outer(reduced, np.eye(d) / d)
-    mixed = mixed.reshape([2] * (2 * n)).transpose(np.argsort(perm))
-    return (1.0 - p) * rho + p * mixed.reshape(rho.shape)
+    blocks = np.moveaxis(rho.reshape(shape), axes_q, last).reshape(*lead, r, r, d, d)
+    reduced = np.trace(blocks, axis1=-2, axis2=-1)
+    mixed = np.multiply.outer(reduced, np.eye(d) / d).reshape(shape)
+    return (1.0 - p) * rho + p * np.moveaxis(mixed, last, axes_q).reshape(rho.shape)
 
 
 def circuit_probs(state: StateVec, gates: Sequence[tuple], noise: NoiseSpec | None
                   ) -> np.ndarray:
     """Measurement probabilities after a gate list [(u, qubits), ...].
 
-    Each u is a full-register matrix (little-endian, like the register);
-    qubits (None for all) names only the qubits its depolarizing noise acts
-    on. Without gate noise this is a pure statevector run. With gate noise
+    Each u is a full-register matrix (little-endian, like the register) or
+    a stack of them; qubits (None for all) names only the qubits its
+    depolarizing noise acts on. The stack axes of the state and the gates
+    broadcast, and the probabilities come back with them: (..., 2^n).
+    Without gate noise this is a pure statevector run. With gate noise
     the exact depolarizing channel is applied per gate on a density matrix;
     a multinomial draw from the result is distributionally identical to
     running each shot as an independent Pauli trajectory (iid per shot),
@@ -206,14 +203,14 @@ def circuit_probs(state: StateVec, gates: Sequence[tuple], noise: NoiseSpec | No
             state = apply_unitary(state, u)
         return np.abs(state.amps) ** 2
     n = state.n_qubits
-    rho = np.outer(state.amps, state.amps.conj())
+    rho = state.amps[..., :, None] * state.amps[..., None, :].conj()
     for u, qubits in gates:
         u, qubits = _checked_gate(u, qubits, n)
-        rho = u @ rho @ u.conj().T
+        rho = u @ rho @ u.conj().mT
         p = noise.p1 if len(qubits) == 1 else noise.p2
         if p > 0.0:
             rho = _depolarize(rho, qubits, n, p)
-    probs = np.real(np.diag(rho))
+    probs = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
     return np.clip(probs, 0.0, None)
 
 
@@ -230,18 +227,19 @@ def readout_confusion(n_qubits: int, p_ro: float) -> np.ndarray:
 
 
 def sample_probs(probs: np.ndarray, n_qubits: int, plan: ShotPlan,
-                 noise: NoiseSpec | None, rng: np.random.Generator) -> MeasRecord:
-    """Multinomial draw from a probability vector with readout flips mixed in."""
+                 noise: NoiseSpec | None, rng: np.random.Generator) -> np.ndarray:
+    """Counts of a multinomial draw from one probability vector with readout
+    flips mixed in."""
     probs = probs / probs.sum()
     if noise is not None and noise.p_ro > 0.0:
         probs = readout_confusion(n_qubits, noise.p_ro) @ probs
         probs = probs / probs.sum()
-    return MeasRecord(counts=rng.multinomial(plan.n_shots, probs))
+    return rng.multinomial(plan.n_shots, probs)
 
 
-def _sign_or(values: np.ndarray, fallback: float = 1.0) -> np.ndarray:
+def _sign_or(values: np.ndarray) -> np.ndarray:
     s = np.sign(values)
-    s[s == 0.0] = fallback
+    s[s == 0.0] = 1.0
     return s
 
 
@@ -249,49 +247,51 @@ def default_sign_floor(n_shots: int) -> float:
     return 10.0 / np.sqrt(n_shots)
 
 
-def propagate_row(row: np.ndarray, cay_zt: np.ndarray, prev_signs: np.ndarray,
-                  plan: ShotPlan | None = None, noise: NoiseSpec | None = None,
-                  mode: str = "sampled", rng: np.random.Generator | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one row of an orthogonal factor under the transposed Cayley map.
+def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan | None = None,
+                  noise: NoiseSpec | None = None, mode: str = "sampled",
+                  rng_factory: Callable[[int], np.random.Generator] | None = None
+                  ) -> np.ndarray:
+    """Advance the rows (m, n) of an orthogonal factor under the transposed Cayley map.
 
-    The updated row is encoded as a quantum state, measured (sampled or
-    noisy mode), and rebuilt as sign * sqrt(p_hat). Signs carry over from the
-    previous step; entries whose measured magnitude falls below the sign
-    floor take the sign of the noise-free classical prediction instead.
+    The rows are encoded as a stack of states, run as one circuit, measured
+    (sampled or noisy mode; row i draws from rng_factory(i)) and rebuilt as
+    sign * sqrt(p_hat). Each entry keeps its own sign unless its measured
+    magnitude falls below the sign floor; it then takes the sign of the
+    noise-free classical prediction.
     """
-    row = np.asarray(row, dtype=float)
-    n = len(row)
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[-1]
     if cay_zt.shape != (n, n):
         raise InvalidInputError("row/matrix dimension mismatch")
-    if plan is None or rng is None:
-        raise InvalidInputError("a measured row needs a ShotPlan and an rng")
-    predicted = cay_zt @ row
+    if plan is None or rng_factory is None:
+        raise InvalidInputError("measured rows need a ShotPlan and an rng factory")
+    predicted = np.matvec(cay_zt, rows)
     gate_noise = noise if mode == "noisy" else None
-    state = StateVec.from_amplitudes(row)
-    gate = embed_unitary(cay_zt.astype(complex), state.dim)
-    probs = circuit_probs(state, [(gate, None)], gate_noise)
-    rec = sample_probs(probs, state.n_qubits, plan, gate_noise, rng)
-    p = rec.counts[:n].astype(float)
-    total = p.sum()
-    if total == 0.0:
+    states = StateVec.from_amplitudes(rows)
+    gate = embed_unitary(cay_zt.astype(complex), states.dim)
+    probs = circuit_probs(states, [(gate, None)], gate_noise)
+    p = np.array([sample_probs(q, states.n_qubits, plan, gate_noise, rng_factory(i))[:n]
+                  for i, q in enumerate(probs)], dtype=float)
+    total = p.sum(axis=1, keepdims=True)
+    if (total == 0.0).any():
         raise RowReconstructionError("all sampled row magnitudes are zero")
     mags = np.sqrt(p / total)
-    signs = np.where(mags >= default_sign_floor(plan.n_shots), prev_signs,
+    signs = np.where(mags >= default_sign_floor(plan.n_shots), _sign_or(rows),
                      _sign_or(predicted))
-    new_row = signs * mags
-    return new_row, signs
+    return signs * mags
 
 
-def _givens_hadamard(dim: int, j: int) -> np.ndarray:
-    """Hadamard-type mixing of basis states 0 and j, identity elsewhere."""
-    g = np.eye(dim, dtype=complex)
-    r = 1.0 / np.sqrt(2.0)
-    g[0, 0] = r
-    g[0, j] = r
-    g[j, 0] = r
-    g[j, j] = -r
-    return g
+@functools.lru_cache(maxsize=64)
+def _interferometer_gates(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """S^dagger and Hadamard-type mixing stacks of the phase interferometers,
+    built once and returned read-only; member j-1 acts on {|0>, |j>} only."""
+    k, js = np.arange(n - 1), np.arange(1, n)
+    sdg, mix = np.tile(np.eye(dim, dtype=complex), (2, n - 1, 1, 1))
+    sdg[k, js, js] = -1j
+    mix[k, 0, 0] = mix[k, 0, js] = mix[k, js, 0] = 1.0 / np.sqrt(2.0)
+    mix[k, js, js] = -1.0 / np.sqrt(2.0)
+    sdg.flags.writeable = mix.flags.writeable = False
+    return sdg, mix
 
 
 def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
@@ -306,7 +306,9 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
     from a pair of two-level interferometers on {|0>, |j>}: a Hadamard-type
     mixing yields cos(phi_j), the same mixing preceded by an S^dagger phase
     on |j> yields sin(phi_j), and phi_j = atan2(sin, cos). Phase 0 is the
-    reference and stays 0.
+    reference and stays 0. Each family is one circuit on a stack of n-1
+    gates, one per j; circuit j draws from rng_factory(j, 0) (cos) or
+    rng_factory(j, 1) (sin).
     """
     phases = np.asarray(phases, dtype=float)
     if np.any(np.abs(phases) >= np.pi):
@@ -318,28 +320,22 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
         new = np.angle(np.exp(1j * new))  # wrap into (-pi, pi]
         new[0] = 0.0
         return new
-    if plan is None:
-        raise InvalidInputError("sampled/noisy modes require a ShotPlan")
-    if rng_factory is None:
-        raise InvalidInputError("sampled/noisy modes require an rng factory")
+    if plan is None or rng_factory is None:
+        raise InvalidInputError("sampled/noisy modes need a ShotPlan and an rng factory")
     gate_noise = noise if mode == "noisy" else None
     base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(n))
-    dim = base.dim
-    evo = embed_unitary(np.diag(factors), dim)
+    evo = embed_unitary(np.diag(factors), base.dim)
+    sdg, mix = _interferometer_gates(n, base.dim)
+    family_probs = (circuit_probs(base, [(evo, None), (mix, None)], gate_noise),
+                    circuit_probs(base, [(evo, None), (sdg, None), (mix, None)],
+                                  gate_noise))
     new = np.zeros(n)
     for j in range(1, n):
         estimates = []
-        for which, pre in enumerate((None, "sdg")):
-            rng = rng_factory(j, which)
-            gates = [(evo, None)]
-            if pre == "sdg":
-                sdg = np.eye(dim, dtype=complex)
-                sdg[j, j] = -1j
-                gates.append((sdg, None))
-            gates.append((_givens_hadamard(dim, j), None))
-            probs = circuit_probs(base, gates, gate_noise)
-            rec = sample_probs(probs, base.n_qubits, plan, gate_noise, rng)
-            p = rec.probs
+        for which, probs in enumerate(family_probs):
+            counts = sample_probs(probs[j - 1], base.n_qubits, plan, gate_noise,
+                                  rng_factory(j, which))
+            p = counts / counts.sum()
             denom = p[0] + p[j]
             if denom <= 0.0:
                 raise PhaseReconstructionError(
@@ -359,7 +355,7 @@ class DilationResult:
     probs: np.ndarray
     acceptance_rate: float
     amplitudes: np.ndarray | None = None
-    record: MeasRecord | None = None
+    record: np.ndarray | None = None   # counts of the sampled circuit
 
 
 def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None,
@@ -416,15 +412,15 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
     if plan is None or rng is None:
         raise InvalidInputError("sampled/noisy modes require a ShotPlan and an rng")
     full_probs = circuit_probs(state, gates, gate_noise)
-    rec = sample_probs(full_probs, state.n_qubits, plan, gate_noise, rng)
-    accepted = rec.counts[:dim].astype(float)
+    counts = sample_probs(full_probs, state.n_qubits, plan, gate_noise, rng)
+    accepted = counts[:dim].astype(float)
     n_acc = accepted.sum()
     if n_acc == 0.0:
         raise PostSelectionStarvedError("no shots survived ancilla post-selection")
     kept = accepted[:n]
     probs = kept / n_acc
     return DilationResult(probs=probs, acceptance_rate=float(n_acc / plan.n_shots),
-                          record=rec)
+                          record=counts)
 
 
 @dataclass(frozen=True)
@@ -488,15 +484,12 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
             u_new = state.u @ cay_z
             v_new = state.v @ cay_w
         else:
-            u_new = np.empty_like(state.u)
-            v_new = np.empty_like(state.v)
-            for i in range(state.u.shape[0]):
-                rng = derive_rng(master_seed, step_index, 0, i)
-                u_new[i], _ = propagate_row(state.u[i], cay_z.T, _sign_or(state.u[i]),
-                                            plan, noise, mode, rng)
-                rng = derive_rng(master_seed, step_index, 1, i)
-                v_new[i], _ = propagate_row(state.v[i], cay_w.T, _sign_or(state.v[i]),
-                                            plan, noise, mode, rng)
+            u_new = propagate_row(
+                state.u, cay_z.T, plan, noise, mode,
+                lambda i: derive_rng(master_seed, step_index, 0, i))
+            v_new = propagate_row(
+                state.v, cay_w.T, plan, noise, mode,
+                lambda i: derive_rng(master_seed, step_index, 1, i))
             if project:
                 u_new = nearest_orthogonal(u_new)
                 v_new = nearest_orthogonal(v_new)

@@ -57,7 +57,7 @@ def _checks():
         probs = np.abs(st.amps) ** 2
         a = qsim.sample_probs(probs, st.n_qubits, plan, None, np.random.default_rng(11))
         b = qsim.sample_probs(probs, st.n_qubits, plan, None, np.random.default_rng(11))
-        return np.array_equal(a.counts, b.counts)
+        return np.array_equal(a, b)
 
     return [
         ("cayley transform of skew generator is orthogonal", cayley_orthogonal),

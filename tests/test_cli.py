@@ -143,6 +143,8 @@ class TestCli:
         {"model": {"name": "synthetic", "params": {"n": 2, "seed": 3.9}}},
         {"noise": {"p1": True}},
         {"sign_floor": 0.01},
+        {"model": {"name": "synthetic", "params": {"n": 2, "seed": -1}}},
+        {"rng_seed": -5, "mode": "sampled"},
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, extra)
@@ -150,6 +152,23 @@ class TestCli:
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+    def test_dilation_needs_project_when_measured(self, tmp_path, capsys):
+        # measured rows are never orthogonal enough for the dilation's gates,
+        # so sampled and noisy runs with dilation but without project are
+        # rejected before any step runs; exact mode runs no dilation
+        cfg = write_config(tmp_path, {
+            "model": {"name": "synthetic", "params": {"n": 4, "seed": 3}},
+            "t_seed": 1.0, "t_f": 1.2, "n_steps": 40, "seed_substeps": 5000,
+            "dilation": True})
+        out = str(tmp_path / "x.csv")
+        for mode in ("sampled", "noisy"):
+            assert main(["qsvd", "--config", cfg, "--mode", mode, "--out", out]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "ConfigError"
+            assert "project" in record["message"]
+            assert "step" not in record
+        assert main(["qsvd", "--config", cfg, "--mode", "exact", "--out", out]) == 0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_reference_names_every_component(self, tmp_path, n):
@@ -205,8 +224,9 @@ class TestCli:
 
     def test_post_selection_starved_names_grid_step(self, tmp_path, capsys):
         # one shot per dilation circuit: for this rng seed no shot survives
-        # post-selection at grid point 5
-        cfg = write_config(tmp_path, {"n_shots": 1, "dilation": True})
+        # post-selection at grid point 5 (dilation in sampled mode needs
+        # project)
+        cfg = write_config(tmp_path, {"n_shots": 1, "dilation": True, "project": True})
         code = main(["qsvd", "--config", cfg, "--mode", "sampled", "--seed", "8",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 4

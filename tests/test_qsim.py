@@ -81,6 +81,15 @@ class TestPlumbing:
     def test_statevec_norm_check(self):
         with pytest.raises(InvalidInputError):
             StateVec(1, np.array([1.0, 1.0], dtype=complex))
+        # one bad member of a stack is enough
+        with pytest.raises(InvalidInputError):
+            StateVec(1, np.array([[1.0, 0.0], [0.6, 0.8], [0.6, 0.9]], dtype=complex))
+        # the tolerance is 1e-12 on the norm itself
+        for dev in (0.5e-12, -0.5e-12):
+            StateVec(1, np.array([1.0 + dev, 0.0], dtype=complex))
+        for dev in (2e-12, -2e-12):
+            with pytest.raises(InvalidInputError):
+                StateVec(1, np.array([1.0 + dev, 0.0], dtype=complex))
 
     def test_noise_spec_validation(self):
         for value in (1.5, True, "0.1", None):
@@ -113,6 +122,47 @@ class TestApplyUnitary:
             qsim.circuit_probs(st, [(HAD, [0])], noise)
 
 
+class TestStackedCircuits:
+    @staticmethod
+    def random_unitary(rng, dim):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return np.linalg.qr(m)[0]
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.05, p2=0.1)])
+    def test_stack_matches_per_state_calls(self, noise):
+        # three qubits: a stack of four states under one gate, then one state
+        # under a stack of four gates, each followed by a second plain gate;
+        # the noisy branch puts p2 on a qubit subset and p1 on qubit 2
+        rng = np.random.default_rng(31)
+        dim = 8
+        amps = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        states = StateVec(3, amps / np.linalg.norm(amps, axis=1, keepdims=True))
+        gate, last = self.random_unitary(rng, dim), self.random_unitary(rng, dim)
+        gate_stack = np.array([self.random_unitary(rng, dim) for _ in range(4)])
+        one = StateVec(3, states.amps[0])
+
+        stacked = qsim.circuit_probs(states, [(gate, [0, 2]), (last, [2])], noise)
+        assert stacked.shape == (4, dim)
+        for i in range(4):
+            single = qsim.circuit_probs(StateVec(3, states.amps[i]),
+                                        [(gate, [0, 2]), (last, [2])], noise)
+            assert np.abs(stacked[i] - single).max() <= 1e-14
+
+        stacked = qsim.circuit_probs(one, [(gate_stack, [0, 2]), (last, [2])], noise)
+        assert stacked.shape == (4, dim)
+        for i in range(4):
+            single = qsim.circuit_probs(one, [(gate_stack[i], [0, 2]), (last, [2])],
+                                        noise)
+            assert np.abs(stacked[i] - single).max() <= 1e-14
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.05, p2=0.1)])
+    def test_nonunitary_member_of_a_gate_stack_rejected(self, noise):
+        st = StateVec.from_amplitudes([0.6, 0.8])
+        stack = np.array([np.eye(2), np.diag([1.0, 1.1])])
+        with pytest.raises(InvalidGateError):
+            qsim.circuit_probs(st, [(stack, None)], noise)
+
+
 class TestDepolarize:
     @pytest.fixture
     def rho(self):
@@ -125,10 +175,16 @@ class TestDepolarize:
                                         [0, 1, 2, 3]])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_matches_pauli_sum_oracle(self, rho, qubits, p):
-        out = qsim._depolarize(rho, qubits, 4, p)
-        assert np.abs(out - pauli_sum_depolarize(rho, qubits, 4, p)).max() <= 1e-14
-        assert abs(np.trace(out) - np.trace(rho)) <= 1e-14
-        assert np.abs(out - out.conj().T).max() <= 1e-14
+        # one rho, then a stack of two: rho and a second random state
+        rng = np.random.default_rng(22)
+        m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        stack = np.array([rho, m @ m.conj().T / np.trace(m @ m.conj().T)])
+        for inputs, outputs in ((rho[None], qsim._depolarize(rho, qubits, 4, p)[None]),
+                                (stack, qsim._depolarize(stack, qubits, 4, p))):
+            for r, out in zip(inputs, outputs):
+                assert np.abs(out - pauli_sum_depolarize(r, qubits, 4, p)).max() <= 1e-14
+                assert abs(np.trace(out) - np.trace(r)) <= 1e-14
+                assert np.abs(out - out.conj().T).max() <= 1e-14
 
     def test_full_register_maximally_mixed(self, rho):
         out = qsim._depolarize(2.0 * rho, [0, 1, 2, 3], 4, 1.0)
@@ -138,22 +194,22 @@ class TestDepolarize:
 class TestSample:
     def test_basis_state_no_noise(self):
         st = StateVec.from_amplitudes([0.0, 1.0])
-        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(1000),
-                           None, np.random.default_rng(0))
-        assert rec.counts[1] == 1000 and rec.counts[0] == 0
+        counts = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(1000),
+                              None, np.random.default_rng(0))
+        assert counts[1] == 1000 and counts[0] == 0
 
     def test_uniform_superposition_binomial_error(self):
         st = StateVec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
-        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
-                           None, np.random.default_rng(5))
-        assert np.abs(rec.probs - 0.5).max() <= 3.0 * 5e-4
+        counts = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
+                              None, np.random.default_rng(5))
+        assert np.abs(counts / counts.sum() - 0.5).max() <= 3.0 * 5e-4
 
     def test_readout_flip_rate(self):
         st = StateVec.from_amplitudes([1.0, 0.0])
-        rec = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
-                           NoiseSpec(p_ro=0.01), np.random.default_rng(8))
+        counts = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
+                              NoiseSpec(p_ro=0.01), np.random.default_rng(8))
         se = np.sqrt(0.01 * 0.99 / 10**6)
-        assert abs(rec.probs[1] - 0.01) <= 3.0 * se
+        assert abs(counts[1] / counts.sum() - 0.01) <= 3.0 * se
 
     def test_deterministic_per_seed(self):
         st = StateVec.from_amplitudes(np.array([0.6, 0.8]))
@@ -161,7 +217,7 @@ class TestSample:
                          None, np.random.default_rng(2))
         b = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(5000),
                          None, np.random.default_rng(2))
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
 
     def test_confusion_matrix_stochastic(self):
         c = readout_confusion(3, 0.02)
@@ -179,9 +235,9 @@ class TestPropagateRow:
     def test_identity_map_exact_limit(self):
         row = np.array([0.8, -0.6])
         plan = ShotPlan(10**6)
-        out, signs = propagate_row(row, np.eye(2), np.sign(row), plan,
-                                   mode="sampled", rng=derive_rng(1, 0))
-        assert np.array_equal(signs, np.sign(row))
+        out = propagate_row(row[None], np.eye(2), plan, mode="sampled",
+                            rng_factory=lambda i: derive_rng(1, 0))[0]
+        assert np.array_equal(np.sign(out), np.sign(row))
         assert np.abs(out - row).max() <= 5e-3
 
     def test_small_rotation(self):
@@ -189,29 +245,44 @@ class TestPropagateRow:
         rot_t = np.array([[np.cos(th), -np.sin(th)],
                           [np.sin(th), np.cos(th)]]).T
         plan = ShotPlan(10**6)
-        out, signs = propagate_row(np.array([1.0, 0.0]), rot_t.T,
-                                   np.array([1.0, 1.0]), plan,
-                                   mode="sampled", rng=derive_rng(3, 0))
+        out = propagate_row(np.array([[1.0, 0.0]]), rot_t.T, plan, mode="sampled",
+                            rng_factory=lambda i: derive_rng(3, 0))[0]
         assert np.abs(out - [np.cos(th), np.sin(th)]).max() <= 5e-3
-        assert np.array_equal(signs, [1.0, 1.0])
+        assert np.array_equal(np.sign(out), [1.0, 1.0])
 
     def test_sign_floor_fallback_on_crossing(self):
-        # rotation by pi/2 sends (1, 0) to (0, 1): entry 0 crosses zero, its
-        # magnitude falls below the floor and the sign comes from the
-        # classical prediction instead of the stale previous sign
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        # rotation by pi/2 + 0.05 sends (1, 0) to (-0.05, 0.999): entry 0
+        # crosses zero, its magnitude falls below the floor (0.1 at 1e4
+        # shots) and the sign comes from the classical prediction instead of
+        # the row's stale own sign
+        th = np.pi / 2 + 0.05
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         plan = ShotPlan(10**4)
-        out, signs = propagate_row(np.array([1.0, 0.0]), rot.T,
-                                   np.array([-1.0, -1.0]), plan,
-                                   mode="sampled", rng=derive_rng(4, 0))
-        predicted = rot.T @ np.array([1.0, 0.0])
-        assert signs[0] == np.sign(predicted[0]) or predicted[0] == 0.0
+        out = propagate_row(np.array([[1.0, 0.0]]), rot, plan, mode="sampled",
+                            rng_factory=lambda i: derive_rng(4, 0))[0]
+        predicted = rot @ np.array([1.0, 0.0])
+        assert np.sign(out[0]) == np.sign(predicted[0]) or predicted[0] == 0.0
         assert abs(out[1]) >= 0.99
 
     def test_requires_plan(self):
         with pytest.raises(InvalidInputError):
-            propagate_row(np.array([1.0, 0.0]), np.eye(2),
-                          np.array([1.0, 1.0]), mode="sampled")
+            propagate_row(np.array([[1.0, 0.0]]), np.eye(2), mode="sampled")
+
+    @pytest.mark.parametrize("mode,noise", [
+        ("sampled", None), ("noisy", NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2))])
+    def test_stacked_rows_match_single_rows(self, mode, noise):
+        # each row of a 3-row stack comes out bit for bit as a 1-row call
+        # drawing from the same rng stream
+        rng = np.random.default_rng(17)
+        rows = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        gate = matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2).T
+        plan = ShotPlan(10**4)
+        stacked = propagate_row(rows, gate, plan, noise, mode,
+                                rng_factory=lambda i: derive_rng(5, i))
+        for i in range(3):
+            single = propagate_row(rows[i:i + 1], gate, plan, noise, mode,
+                                   rng_factory=lambda _: derive_rng(5, i))
+            assert np.array_equal(stacked[i], single[0])
 
 
 class TestEvolveSigmaPhase:
@@ -243,6 +314,23 @@ class TestEvolveSigmaPhase:
             phases, np.zeros(4), 1.0, plan, mode="sampled",
             rng_factory=lambda j, w: derive_rng(9, j, w))
         assert np.abs(out - phases).max() <= 0.01
+
+    def test_interferometer_gates_match_per_j_build_and_are_read_only(self):
+        # member j-1 of each stack equals the gate built for j alone
+        r = 1.0 / np.sqrt(2.0)
+        sdg, mix = qsim._interferometer_gates(5, 8)
+        assert sdg.shape == mix.shape == (4, 8, 8)
+        for j in range(1, 5):
+            s_j = np.eye(8, dtype=complex)
+            s_j[j, j] = -1j
+            m_j = np.eye(8, dtype=complex)
+            m_j[0, 0] = m_j[0, j] = m_j[j, 0] = r
+            m_j[j, j] = -r
+            assert np.array_equal(sdg[j - 1], s_j)
+            assert np.array_equal(mix[j - 1], m_j)
+        assert qsim._interferometer_gates(5, 8)[1] is mix
+        with pytest.raises(ValueError):
+            mix[0, 0, 0] = 1.0
 
     def test_rejects_phases_outside_range(self):
         with pytest.raises(InvalidInputError):
@@ -345,7 +433,7 @@ class TestDilation:
                                  rng=derive_rng(2, 0))
         sampled = dilation_circuit(v0, f, plan, mode="sampled",
                                    rng=derive_rng(2, 0))
-        assert np.array_equal(noisy.record.counts, sampled.record.counts)
+        assert np.array_equal(noisy.record, sampled.record)
 
 
 class TestQsvdStep:
