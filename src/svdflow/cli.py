@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import selftest as selftest_mod
-from .config import build_generator, load_config
+from .config import MODES, build_generator, load_config
 from .errors import ConfigError, SvdFlowError
 from .runner import compute_reference, read_csv, run_qsvd, write_csv, write_json
 
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--mode", choices=("exact", "sampled", "noisy"))
+        p.add_argument("--mode", choices=MODES)
         p.add_argument("--shots", type=int, help="measurement shots per circuit")
         p.add_argument("--seed", type=int, help="master RNG seed")
         p.add_argument("--steps", type=int, help="number of factor-flow steps")

@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, InvalidInputError
 from .models import DEFAULT_DEMO_MODEL, RateChannel, RateModel, synthetic_generator, two_state_generator
 from .odeflow import Generator
-from .qsim import MODES, NoiseSpec
+from .qsim import NoiseSpec
+
+MODES = ("exact", "sampled", "noisy")  # run_qsvd maps each to a ShotPlan
 
 
 def _is_real(v) -> bool:

@@ -16,7 +16,7 @@ from .errors import (
     StepFailureError,
 )
 
-DEFAULT_ORTHO_TOL = 1e-12
+RANK_TOL = 1e-12  # relative smallest singular value nearest_orthogonal accepts
 
 
 class SvdTriple(NamedTuple):
@@ -97,7 +97,7 @@ def skew_part(m: np.ndarray) -> np.ndarray:
     return (m - np.swapaxes(m, -1, -2)) / 2.0
 
 
-def nearest_orthogonal(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
+def nearest_orthogonal(m: np.ndarray) -> np.ndarray:
     """Project a full-rank square matrix onto the nearest orthogonal matrix.
 
     Uses the polar factor u @ v.T from the SVD of m. Rank deficiency makes
@@ -105,7 +105,7 @@ def nearest_orthogonal(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
     """
     m = _require_square_finite(m)
     u, s, v = svd(m)
-    if s[0] == 0.0 or s[-1] < rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] < RANK_TOL * s[0]:
         raise ProjectionUndefinedError(
             f"matrix is rank-deficient (singular values {s}); projection undefined"
         )

@@ -9,12 +9,11 @@ that comes with a gate names only the qubits its depolarizing noise acts on.
 States (..., 2^n) and gates (B, 2^n, 2^n) may be stacks that broadcast, so the
 rows of a factor run as one circuit, and so does each interferometer family.
 
-Three fidelity modes drive `qsvd_step`, the one step of the factor flow:
-  exact   - no sampling; U and V are updated as whole matrices and phases
-            and amplitudes are read directly
-  sampled - multinomial shot sampling of measurement probabilities
-  noisy   - shots plus a parametric noise model (per-gate depolarizing and
-            symmetric readout flips)
+`qsvd_step`, the one step of the factor flow, and its circuits take an
+optional `ShotPlan`: the shots per circuit and the `NoiseSpec` (per-gate
+depolarizing, symmetric readout flips) every circuit runs under, all zero
+for noise-free sampling. Without a plan the step is exact: U and V are
+updated as whole matrices and phases and amplitudes are read directly.
 
 Noise has one representation: `circuit_probs` evolves a density matrix
 through each gate followed by the exact depolarizing channel on the qubits
@@ -57,7 +56,7 @@ from .svdeom import (
     snapshot_from_arrays,
 )
 
-MODES = ("exact", "sampled", "noisy")
+CONTRAST_FLOOR = 0.5  # least cos^2 + sin^2 a measured phase estimate accepts
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -105,7 +104,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ShotPlan:
+    """Shots per circuit and the noise every measured circuit runs under."""
+
     n_shots: int
+    noise: NoiseSpec = NoiseSpec()
 
     def __post_init__(self):
         if self.n_shots < 1:
@@ -122,8 +124,8 @@ class StateVec:
     def __post_init__(self):
         if self.amps.shape[-1:] != (2**self.n_qubits,):
             raise InvalidInputError("amplitude count must be 2**n_qubits")
-        norm_sq = np.vecdot(self.amps, self.amps).real  # |norm - 1| <= 1e-12
-        if ((norm_sq < (1 - 1e-12) ** 2) | (norm_sq > (1 + 1e-12) ** 2)).any():
+        norm_sq = np.vecdot(self.amps, self.amps).real  # |norm - 1| <= 1e-12; NaN fails
+        if not ((norm_sq >= (1 - 1e-12) ** 2) & (norm_sq <= (1 + 1e-12) ** 2)).all():
             raise InvalidInputError(f"state norm {np.sqrt(norm_sq)} deviates from 1")
 
     @classmethod
@@ -150,7 +152,7 @@ def _checked_gate(u: np.ndarray, qubits: Sequence[int] | None, n_qubits: int
     if u.shape[-2:] != (dim, dim):
         raise InvalidInputError(
             f"gate shape {u.shape} does not match a {n_qubits}-qubit register")
-    if np.linalg.norm(u.conj().mT @ u - np.eye(dim)) > 1e-10:
+    if not np.linalg.norm(u.conj().mT @ u - np.eye(dim)) <= 1e-10:  # NaN fails
         raise InvalidGateError("gate matrix is not unitary")
     return u, range(n_qubits) if qubits is None else qubits
 
@@ -226,13 +228,14 @@ def readout_confusion(n_qubits: int, p_ro: float) -> np.ndarray:
     return out
 
 
-def sample_probs(probs: np.ndarray, n_qubits: int, plan: ShotPlan,
-                 noise: NoiseSpec | None, rng: np.random.Generator) -> np.ndarray:
-    """Counts of a multinomial draw from one probability vector with readout
-    flips mixed in."""
+def sample_probs(probs: np.ndarray, plan: ShotPlan,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Counts of plan.n_shots draws from one full-register probability
+    vector with the plan's readout flips mixed in."""
     probs = probs / probs.sum()
-    if noise is not None and noise.p_ro > 0.0:
-        probs = readout_confusion(n_qubits, noise.p_ro) @ probs
+    if plan.noise.p_ro > 0.0:
+        n_qubits = probs.shape[-1].bit_length() - 1
+        probs = readout_confusion(n_qubits, plan.noise.p_ro) @ probs
         probs = probs / probs.sum()
     return rng.multinomial(plan.n_shots, probs)
 
@@ -247,14 +250,12 @@ def default_sign_floor(n_shots: int) -> float:
     return 10.0 / np.sqrt(n_shots)
 
 
-def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan | None = None,
-                  noise: NoiseSpec | None = None, mode: str = "sampled",
-                  rng_factory: Callable[[int], np.random.Generator] | None = None
-                  ) -> np.ndarray:
+def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
+                  rng_factory: Callable[[int], np.random.Generator]) -> np.ndarray:
     """Advance the rows (m, n) of an orthogonal factor under the transposed Cayley map.
 
-    The rows are encoded as a stack of states, run as one circuit, measured
-    (sampled or noisy mode; row i draws from rng_factory(i)) and rebuilt as
+    The rows are encoded as a stack of states, run as one circuit under the
+    plan's noise, measured (row i draws from rng_factory(i)) and rebuilt as
     sign * sqrt(p_hat). Each entry keeps its own sign unless its measured
     magnitude falls below the sign floor; it then takes the sign of the
     noise-free classical prediction.
@@ -263,14 +264,11 @@ def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan | None = 
     n = rows.shape[-1]
     if cay_zt.shape != (n, n):
         raise InvalidInputError("row/matrix dimension mismatch")
-    if plan is None or rng_factory is None:
-        raise InvalidInputError("measured rows need a ShotPlan and an rng factory")
     predicted = np.matvec(cay_zt, rows)
-    gate_noise = noise if mode == "noisy" else None
     states = StateVec.from_amplitudes(rows)
     gate = embed_unitary(cay_zt.astype(complex), states.dim)
-    probs = circuit_probs(states, [(gate, None)], gate_noise)
-    p = np.array([sample_probs(q, states.n_qubits, plan, gate_noise, rng_factory(i))[:n]
+    probs = circuit_probs(states, [(gate, None)], plan.noise)
+    p = np.array([sample_probs(q, plan, rng_factory(i))[:n]
                   for i, q in enumerate(probs)], dtype=float)
     total = p.sum(axis=1, keepdims=True)
     if (total == 0.0).any():
@@ -296,14 +294,14 @@ def _interferometer_gates(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
                        plan: ShotPlan | None = None,
-                       noise: NoiseSpec | None = None, mode: str = "exact",
-                       rng_factory: Callable[..., np.random.Generator] | None = None,
-                       contrast_floor: float = 0.5) -> np.ndarray:
+                       rng_factory: Callable[..., np.random.Generator] | None = None
+                       ) -> np.ndarray:
     """Advance the diagonal-unitary phases by a Cayley step of -i L.
 
     The state (1/sqrt(N)) sum_j e^{i phi_j} |j> is evolved under the diagonal
-    Cayley unitary. In sampled/noisy modes each relative phase is recovered
-    from a pair of two-level interferometers on {|0>, |j>}: a Hadamard-type
+    Cayley unitary and read exactly without a plan; with one, each relative
+    phase is measured from a pair of two-level interferometers on {|0>, |j>}
+    under the plan's noise: a Hadamard-type
     mixing yields cos(phi_j), the same mixing preceded by an S^dagger phase
     on |j> yields sin(phi_j), and phi_j = atan2(sin, cos). Phase 0 is the
     reference and stays 0. Each family is one circuit on a stack of n-1
@@ -315,26 +313,24 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
         raise InvalidInputError("phases must lie inside (-pi, pi)")
     n = len(phases)
     factors = cayley_diag(lplus_mid, h)
-    if mode == "exact":
+    if plan is None:
         new = phases + np.angle(factors)
         new = np.angle(np.exp(1j * new))  # wrap into (-pi, pi]
         new[0] = 0.0
         return new
-    if plan is None or rng_factory is None:
-        raise InvalidInputError("sampled/noisy modes need a ShotPlan and an rng factory")
-    gate_noise = noise if mode == "noisy" else None
+    if rng_factory is None:
+        raise InvalidInputError("a ShotPlan needs an rng factory")
     base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(n))
     evo = embed_unitary(np.diag(factors), base.dim)
     sdg, mix = _interferometer_gates(n, base.dim)
-    family_probs = (circuit_probs(base, [(evo, None), (mix, None)], gate_noise),
+    family_probs = (circuit_probs(base, [(evo, None), (mix, None)], plan.noise),
                     circuit_probs(base, [(evo, None), (sdg, None), (mix, None)],
-                                  gate_noise))
+                                  plan.noise))
     new = np.zeros(n)
     for j in range(1, n):
         estimates = []
         for which, probs in enumerate(family_probs):
-            counts = sample_probs(probs[j - 1], base.n_qubits, plan, gate_noise,
-                                  rng_factory(j, which))
+            counts = sample_probs(probs[j - 1], plan, rng_factory(j, which))
             p = counts / counts.sum()
             denom = p[0] + p[j]
             if denom <= 0.0:
@@ -342,10 +338,10 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
                     f"no counts in the interferometer subspace for phase {j}")
             estimates.append((p[0] - p[j]) / denom)
         c, s = estimates
-        if c * c + s * s < contrast_floor:
+        if c * c + s * s < CONTRAST_FLOOR:
             raise PhaseReconstructionError(
                 f"interferometer contrast {c*c + s*s:.3f} below "
-                f"{contrast_floor} for phase {j}; decoherence too strong")
+                f"{CONTRAST_FLOOR} for phase {j}; decoherence too strong")
         new[j] = np.arctan2(s, c)
     return new
 
@@ -359,7 +355,6 @@ class DilationResult:
 
 
 def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None,
-                     noise: NoiseSpec | None = None, mode: str = "exact",
                      rng: np.random.Generator | None = None) -> DilationResult:
     """One-ancilla dilation circuit applying the nonunitary propagator.
 
@@ -367,20 +362,16 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
     selected by the ancilla -> U (system) -> H(ancilla) -> measure.
     Conditioned on ancilla 0 the system state is Phi v0 / sigma1 up to
     normalization; the acceptance rate ||Phi v0||^2 / sigma1^2 recovers the
-    norm.
+    norm. Read exactly without a plan, else sampled under it with `rng`.
     """
     v0 = np.asarray(v0, dtype=float)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-10:
         raise InvalidInputError("initial vector must have unit norm")
     n = len(v0)
-    dim = pad_dim(n)
-    n_sys = int(np.log2(dim)) if dim > 1 else 1
-    dim = 2**n_sys
+    system = StateVec.from_amplitudes(v0)
+    n_sys, dim = system.n_qubits, system.dim
     anc = n_sys  # ancilla is the most significant qubit
-    amps = np.zeros(2 * dim, dtype=complex)
-    amps[:n] = v0
-    state = StateVec(n_qubits=n_sys + 1, amps=amps)
-    gate_noise = noise if mode == "noisy" else None
+    state = StateVec(n_sys + 1, np.concatenate([system.amps, np.zeros(dim)]))
     had = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
                   np.eye(dim))
     sys_qubits = list(range(n_sys))
@@ -399,7 +390,7 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
         (had, [anc]),
     ]
 
-    if mode == "exact":
+    if plan is None:
         for u, _ in gates:
             state = apply_unitary(state, u)
         block = state.amps[:dim]
@@ -409,10 +400,10 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
         probs = np.abs(block[:n]) ** 2 / acceptance
         return DilationResult(probs=probs, acceptance_rate=acceptance,
                               amplitudes=block[:n] / np.sqrt(acceptance))
-    if plan is None or rng is None:
-        raise InvalidInputError("sampled/noisy modes require a ShotPlan and an rng")
-    full_probs = circuit_probs(state, gates, gate_noise)
-    counts = sample_probs(full_probs, state.n_qubits, plan, gate_noise, rng)
+    if rng is None:
+        raise InvalidInputError("a ShotPlan needs an rng")
+    full_probs = circuit_probs(state, gates, plan.noise)
+    counts = sample_probs(full_probs, plan, rng)
     accepted = counts[:dim].astype(float)
     n_acc = accepted.sum()
     if n_acc == 0.0:
@@ -456,45 +447,41 @@ class QsvdState:
 
 
 def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
-              h: float, plan: ShotPlan | None = None,
-              noise: NoiseSpec | None = None, mode: str = "exact",
-              master_seed: int = 0, step_index: int = 0,
-              project: bool = False, tol_degen: float = DEFAULT_TOL_DEGEN,
-              tol_sat: float = DEFAULT_TOL_SAT
+              h: float, plan: ShotPlan | None = None, master_seed: int = 0,
+              step_index: int = 0, project: bool = False,
+              tol_degen: float = DEFAULT_TOL_DEGEN, tol_sat: float = DEFAULT_TOL_SAT
               ) -> tuple[QsvdState, GeneratorSnapshot]:
-    """One step of the factor flow in any fidelity mode.
+    """One step of the factor flow, exact without a plan, else measured.
 
     Returns the advanced state together with the generator snapshot taken at
     the pre-step factors (the caller rolls it into the extrapolation
-    history). Exact mode updates U and V as whole matrices, as
-    `svdeom.step_factors` does, and ignores `project`; sampled and noisy
-    modes measure every row and with `project` map U and V onto the nearest
-    orthogonal matrices. New phases are folded back into [0, pi]: one that
-    crossed 0 would turn the next step's phase generator the wrong way.
+    history). Without a plan U and V are updated as whole matrices, as
+    `svdeom.step_factors` does, and `project` is ignored; with a plan every
+    row and phase is measured under it, and `project` maps U and V onto the
+    nearest orthogonal matrices. New phases are folded back into [0, pi]: one
+    that crossed 0 would turn the next step's phase generator the wrong way.
     """
-    if mode not in MODES:
-        raise InvalidInputError(f"unknown fidelity mode {mode!r}")
     try:
         snap = snapshot_from_arrays(state.u, state.tilde, a, state.t,
                                     tol_degen, tol_sat)
         z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
         cay_z = cayley(z_mid, h)
         cay_w = cayley(w_mid, h)
-        if mode == "exact":
+        if plan is None:
             u_new = state.u @ cay_z
             v_new = state.v @ cay_w
         else:
             u_new = propagate_row(
-                state.u, cay_z.T, plan, noise, mode,
+                state.u, cay_z.T, plan,
                 lambda i: derive_rng(master_seed, step_index, 0, i))
             v_new = propagate_row(
-                state.v, cay_w.T, plan, noise, mode,
+                state.v, cay_w.T, plan,
                 lambda i: derive_rng(master_seed, step_index, 1, i))
             if project:
                 u_new = nearest_orthogonal(u_new)
                 v_new = nearest_orthogonal(v_new)
         phases_new = np.abs(evolve_sigma_phase(
-            state.phases, l_mid, h, plan, noise, mode,
+            state.phases, l_mid, h, plan,
             rng_factory=lambda j, w: derive_rng(master_seed, step_index, 2, j, w)))
         sigma1_new = state.sigma1 * float(np.exp(h * g11_mid))
     except SvdFlowError as exc:

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, build_generator, config_as_dict
-from .errors import SvdFlowError
+from .config import MODES, RunConfig, build_generator, config_as_dict
+from .errors import ConfigError, SvdFlowError
 from .odeflow import Generator, apply_step_products, seed_factors, step_products
 from .qsim import (
+    NoiseSpec,
     QsvdState,
     ShotPlan,
     derive_rng,
@@ -94,16 +95,17 @@ class QsvdRunResult:
     factors: list         # SvdFactors at every grid point
 
 
-def _record_row(cfg: RunConfig, plan: ShotPlan, step: int, p_ref: np.ndarray,
-                f: SvdFactors) -> list[float]:
+def _record_row(cfg: RunConfig, plan: ShotPlan | None, step: int,
+                p_ref: np.ndarray, f: SvdFactors) -> list[float]:
     """CSV row at grid index `step`; acceptance comes from the dilation
-    circuit when it runs (its failures carry `step`), else from Phi v0."""
+    circuit when a measured run has it (its failures carry `step`), else
+    from Phi v0."""
     v0 = initial_state(f.dim)
     p_q = reconstruct_phi(f) @ v0
-    if cfg.dilation and cfg.mode != "exact":
+    if cfg.dilation and plan is not None:
         try:
-            acc = dilation_circuit(v0, f, plan, cfg.noise, cfg.mode,
-                                   rng=derive_rng(cfg.rng_seed, step, 3)).acceptance_rate
+            acc = dilation_circuit(v0, f, plan,
+                                   derive_rng(cfg.rng_seed, step, 3)).acceptance_rate
         except SvdFlowError as exc:
             if exc.step is None:
                 exc.step = step
@@ -126,11 +128,16 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     """Seed, propagate the SVD factors over [t_seed, t_f], and tabulate
     populations against the classical reference.
 
-    Every fidelity mode runs the same step loop over `qsvd_step`: "exact"
-    is the noise-free flow, "sampled" and "noisy" measure rows and phases
-    on the emulated device. Guard errors carry the step they tripped at.
+    Every fidelity mode runs the same step loop over `qsvd_step`; the mode
+    is read here alone, as its ShotPlan: none for "exact", a noise-free one
+    for "sampled" (cfg.noise is ignored), one with cfg.noise for "noisy".
+    Guard errors carry the step they tripped at.
     """
     t_start = time.perf_counter()
+    if cfg.mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+    plan = None if cfg.mode == "exact" else ShotPlan(
+        cfg.n_shots, cfg.noise if cfg.mode == "noisy" else NoiseSpec())
     gen = build_generator(cfg) if gen is None else gen
     h = cfg.step_size
     if seeds is None:
@@ -145,15 +152,14 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         compute_snapshot(f_m2, gen, cfg.tol_degen, cfg.tol_sat),
         compute_snapshot(f_m1, gen, cfg.tol_degen, cfg.tol_sat),
     ]
-    plan = ShotPlan(cfg.n_shots)
     rows = [_record_row(cfg, plan, 0, ref_grid[0], f0)]
     factors = [f0]
     state = QsvdState.from_factors(f0)
     for i in range(cfg.n_steps):
         state, snap = qsvd_step(
-            state, history, gen, h, plan, cfg.noise, cfg.mode,
-            master_seed=cfg.rng_seed, step_index=i, project=cfg.project,
-            tol_degen=cfg.tol_degen, tol_sat=cfg.tol_sat)
+            state, history, gen, h, plan, master_seed=cfg.rng_seed,
+            step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
+            tol_sat=cfg.tol_sat)
         history = [history[1], snap]
         f = state.to_factors()
         rows.append(_record_row(cfg, plan, i + 1, ref_grid[i + 1], f))

@@ -47,7 +47,7 @@ def _checks():
         f = svdeom.SvdFactors.from_svd(u, s, v, 0.0)
         v0 = rng.standard_normal(4)
         v0 /= np.linalg.norm(v0)
-        res = qsim.dilation_circuit(v0, f, mode="exact")
+        res = qsim.dilation_circuit(v0, f)
         target = m @ v0 / s[0]
         return np.abs(res.amplitudes * np.sqrt(res.acceptance_rate) - target).max() <= 1e-10
 
@@ -55,8 +55,8 @@ def _checks():
         st = qsim.StateVec.from_amplitudes(np.array([0.6, 0.8]))
         plan = qsim.ShotPlan(10_000)
         probs = np.abs(st.amps) ** 2
-        a = qsim.sample_probs(probs, st.n_qubits, plan, None, np.random.default_rng(11))
-        b = qsim.sample_probs(probs, st.n_qubits, plan, None, np.random.default_rng(11))
+        a = qsim.sample_probs(probs, plan, np.random.default_rng(11))
+        b = qsim.sample_probs(probs, plan, np.random.default_rng(11))
         return np.array_equal(a, b)
 
     return [

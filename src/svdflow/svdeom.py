@@ -36,6 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_TOL_DEGEN = 1e-8
 DEFAULT_TOL_SAT = 1e-6
+ORTHO_TOL = 1e-9   # Frobenius bound on U^T U - I and V^T V - I in validate
+IMAG_TOL = 1e-12   # relative imaginary residue reconstruct_phi accepts
 
 # Three-point extrapolation to the step midpoint t + h/2 from samples at
 # t, t-h, t-2h; exact for sequences affine in t.
@@ -68,12 +70,12 @@ class SvdFactors:
     def dim(self):
         return self.u.shape[0]
 
-    def validate(self, ortho_tol=1e-9):
+    def validate(self):
         n = self.dim
         eye = np.eye(n)
-        if np.linalg.norm(self.u.T @ self.u - eye) > ortho_tol:
+        if np.linalg.norm(self.u.T @ self.u - eye) > ORTHO_TOL:
             raise InvalidInputError("U factor is not orthogonal")
-        if np.linalg.norm(self.v.T @ self.v - eye) > ortho_tol:
+        if np.linalg.norm(self.v.T @ self.v - eye) > ORTHO_TOL:
             raise InvalidInputError("V factor is not orthogonal")
         if np.any(np.diff(self.sigma) > 0):
             raise InvalidInputError("singular values are not descending")
@@ -196,7 +198,7 @@ def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
                       sigma1=sigma1_new, tilde=tilde_new, t=f.t + h)
 
 
-def reconstruct_phi(f: SvdFactors, imag_tol: float = 1e-12) -> np.ndarray:
+def reconstruct_phi(f: SvdFactors) -> np.ndarray:
     """Rebuild the propagator (sigma1/2) U (Sp + conj(Sp)) V^T as a real matrix.
 
     The conjugate pair sums to 2 diag(tilde), so the imaginary residue is a
@@ -206,7 +208,7 @@ def reconstruct_phi(f: SvdFactors, imag_tol: float = 1e-12) -> np.ndarray:
     phi = (f.sigma1 / 2.0) * (f.u @ np.diag(sp + np.conj(sp)) @ f.v.T)
     resid = np.abs(phi.imag).max()
     scale = max(1.0, np.abs(phi.real).max())
-    if resid > imag_tol * scale:
+    if resid > IMAG_TOL * scale:
         raise InconsistencyError(
             f"imaginary residue {resid:.3e} above tolerance in propagator rebuild"
         )

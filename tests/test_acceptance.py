@@ -86,13 +86,13 @@ def test_criterion_3_dilation_brute_force():
         f = SvdFactors.from_svd(u, s, v, 0.0)
         v0 = rng.standard_normal(n)
         v0 /= np.linalg.norm(v0)
-        res = dilation_circuit(v0, f, mode="exact")
+        res = dilation_circuit(v0, f)
         target = m @ v0 / s[0]
         got = res.amplitudes * np.sqrt(res.acceptance_rate)
         worst = max(worst, np.abs(got - target).max())
     # unitary limit: acceptance rate 1
     f = SvdFactors.from_svd(np.eye(4), np.ones(4), np.eye(4), 0.0)
-    res = dilation_circuit(np.array([0.5, 0.5, 0.5, 0.5]), f, mode="exact")
+    res = dilation_circuit(np.array([0.5, 0.5, 0.5, 0.5]), f)
     acc_gap = abs(res.acceptance_rate - 1.0)
     report(3, "dilation brute force",
            worst <= 1e-10 and acc_gap <= 1e-10,
@@ -213,7 +213,7 @@ def test_criterion_9_phase_reconstruction():
         planted = rng.uniform(-3.0, 3.0, n)
         planted[0] = 0.0
         out = evolve_sigma_phase(
-            planted, np.zeros(n), 1.0, ShotPlan(n_shots), mode="sampled",
+            planted, np.zeros(n), 1.0, ShotPlan(n_shots),
             rng_factory=lambda j, w, n=n: derive_rng(900 + n, j, w))
         # delta-method standard error of atan2(s_hat, c_hat); the
         # interferometer subspace holds 2/n of the shots

@@ -91,6 +91,13 @@ class TestPlumbing:
             with pytest.raises(InvalidInputError):
                 StateVec(1, np.array([1.0 + dev, 0.0], dtype=complex))
 
+    def test_statevec_rejects_nan(self):
+        # a NaN norm compares False against both bounds; it must still fail
+        with pytest.raises(InvalidInputError):
+            StateVec(1, np.array([np.nan, 0.0], dtype=complex))
+        with pytest.raises(InvalidInputError):
+            StateVec(1, np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex))
+
     def test_noise_spec_validation(self):
         for value in (1.5, True, "0.1", None):
             with pytest.raises(InvalidInputError):
@@ -112,6 +119,15 @@ class TestApplyUnitary:
         st = StateVec.from_amplitudes([1.0, 0.0])
         with pytest.raises(InvalidGateError):
             apply_unitary(st, np.array([[1.0, 0.0], [0.0, 1.1]]))
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.1, p2=0.1)])
+    def test_rejects_nan_gate(self, noise):
+        # alone and as one member of a gate stack, in both branches
+        st = StateVec.from_amplitudes([0.6, 0.8])
+        nan_gate = np.full((2, 2), np.nan)
+        for gate in (nan_gate, np.array([np.eye(2), nan_gate])):
+            with pytest.raises(InvalidGateError):
+                qsim.circuit_probs(st, [(gate, None)], noise)
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.1, p2=0.1)])
     def test_gate_must_span_the_register(self, noise):
@@ -194,29 +210,30 @@ class TestDepolarize:
 class TestSample:
     def test_basis_state_no_noise(self):
         st = StateVec.from_amplitudes([0.0, 1.0])
-        counts = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(1000),
-                              None, np.random.default_rng(0))
+        counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(1000),
+                              np.random.default_rng(0))
         assert counts[1] == 1000 and counts[0] == 0
 
     def test_uniform_superposition_binomial_error(self):
         st = StateVec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
-        counts = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
-                              None, np.random.default_rng(5))
+        counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(10**6),
+                              np.random.default_rng(5))
         assert np.abs(counts / counts.sum() - 0.5).max() <= 3.0 * 5e-4
 
     def test_readout_flip_rate(self):
         st = StateVec.from_amplitudes([1.0, 0.0])
-        counts = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(10**6),
-                              NoiseSpec(p_ro=0.01), np.random.default_rng(8))
+        counts = sample_probs(np.abs(st.amps) ** 2,
+                              ShotPlan(10**6, NoiseSpec(p_ro=0.01)),
+                              np.random.default_rng(8))
         se = np.sqrt(0.01 * 0.99 / 10**6)
         assert abs(counts[1] / counts.sum() - 0.01) <= 3.0 * se
 
     def test_deterministic_per_seed(self):
         st = StateVec.from_amplitudes(np.array([0.6, 0.8]))
-        a = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(5000),
-                         None, np.random.default_rng(2))
-        b = sample_probs(np.abs(st.amps) ** 2, st.n_qubits, ShotPlan(5000),
-                         None, np.random.default_rng(2))
+        a = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
+                         np.random.default_rng(2))
+        b = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
+                         np.random.default_rng(2))
         assert np.array_equal(a, b)
 
     def test_confusion_matrix_stochastic(self):
@@ -235,7 +252,7 @@ class TestPropagateRow:
     def test_identity_map_exact_limit(self):
         row = np.array([0.8, -0.6])
         plan = ShotPlan(10**6)
-        out = propagate_row(row[None], np.eye(2), plan, mode="sampled",
+        out = propagate_row(row[None], np.eye(2), plan,
                             rng_factory=lambda i: derive_rng(1, 0))[0]
         assert np.array_equal(np.sign(out), np.sign(row))
         assert np.abs(out - row).max() <= 5e-3
@@ -245,7 +262,7 @@ class TestPropagateRow:
         rot_t = np.array([[np.cos(th), -np.sin(th)],
                           [np.sin(th), np.cos(th)]]).T
         plan = ShotPlan(10**6)
-        out = propagate_row(np.array([[1.0, 0.0]]), rot_t.T, plan, mode="sampled",
+        out = propagate_row(np.array([[1.0, 0.0]]), rot_t.T, plan,
                             rng_factory=lambda i: derive_rng(3, 0))[0]
         assert np.abs(out - [np.cos(th), np.sin(th)]).max() <= 5e-3
         assert np.array_equal(np.sign(out), [1.0, 1.0])
@@ -258,29 +275,25 @@ class TestPropagateRow:
         th = np.pi / 2 + 0.05
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         plan = ShotPlan(10**4)
-        out = propagate_row(np.array([[1.0, 0.0]]), rot, plan, mode="sampled",
+        out = propagate_row(np.array([[1.0, 0.0]]), rot, plan,
                             rng_factory=lambda i: derive_rng(4, 0))[0]
         predicted = rot @ np.array([1.0, 0.0])
         assert np.sign(out[0]) == np.sign(predicted[0]) or predicted[0] == 0.0
         assert abs(out[1]) >= 0.99
 
-    def test_requires_plan(self):
-        with pytest.raises(InvalidInputError):
-            propagate_row(np.array([[1.0, 0.0]]), np.eye(2), mode="sampled")
-
-    @pytest.mark.parametrize("mode,noise", [
-        ("sampled", None), ("noisy", NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2))])
-    def test_stacked_rows_match_single_rows(self, mode, noise):
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec(), NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)], ids=["sampled", "noisy"])
+    def test_stacked_rows_match_single_rows(self, noise):
         # each row of a 3-row stack comes out bit for bit as a 1-row call
         # drawing from the same rng stream
         rng = np.random.default_rng(17)
         rows = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         gate = matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2).T
-        plan = ShotPlan(10**4)
-        stacked = propagate_row(rows, gate, plan, noise, mode,
+        plan = ShotPlan(10**4, noise)
+        stacked = propagate_row(rows, gate, plan,
                                 rng_factory=lambda i: derive_rng(5, i))
         for i in range(3):
-            single = propagate_row(rows[i:i + 1], gate, plan, noise, mode,
+            single = propagate_row(rows[i:i + 1], gate, plan,
                                    rng_factory=lambda _: derive_rng(5, i))
             assert np.array_equal(stacked[i], single[0])
 
@@ -288,13 +301,12 @@ class TestPropagateRow:
 class TestEvolveSigmaPhase:
     def test_zero_generator_exact(self):
         phases = np.array([0.0, 0.7, -1.2])
-        out = evolve_sigma_phase(phases, np.zeros(3), 0.5, mode="exact")
+        out = evolve_sigma_phase(phases, np.zeros(3), 0.5)
         assert np.abs(out - phases).max() <= 1e-15
 
     def test_scalar_cayley_argument_exact(self):
         lam, h = 0.8, 0.4
-        out = evolve_sigma_phase(np.zeros(2), np.array([0.0, lam]), h,
-                                 mode="exact")
+        out = evolve_sigma_phase(np.zeros(2), np.array([0.0, lam]), h)
         assert np.isclose(out[1], -2.0 * np.arctan(h * lam / 2.0), atol=1e-14)
         assert out[0] == 0.0
 
@@ -302,7 +314,7 @@ class TestEvolveSigmaPhase:
         phi = np.pi / 3.0
         plan = ShotPlan(10**6)
         out = evolve_sigma_phase(
-            np.array([0.0, phi]), np.zeros(2), 1.0, plan, mode="sampled",
+            np.array([0.0, phi]), np.zeros(2), 1.0, plan,
             rng_factory=lambda j, w: derive_rng(6, j, w))
         se = np.sqrt(1.0 / (2 * 10**6 / 2))  # conservative subspace SE
         assert abs(out[1] - phi) <= 3.0 * se
@@ -311,7 +323,7 @@ class TestEvolveSigmaPhase:
         phases = np.array([0.0, 0.4, -0.9, 1.3])
         plan = ShotPlan(10**6)
         out = evolve_sigma_phase(
-            phases, np.zeros(4), 1.0, plan, mode="sampled",
+            phases, np.zeros(4), 1.0, plan,
             rng_factory=lambda j, w: derive_rng(9, j, w))
         assert np.abs(out - phases).max() <= 0.01
 
@@ -332,17 +344,20 @@ class TestEvolveSigmaPhase:
         with pytest.raises(ValueError):
             mix[0, 0, 0] = 1.0
 
+    def test_plan_needs_rng_factory(self):
+        with pytest.raises(InvalidInputError):
+            evolve_sigma_phase(np.array([0.0, 0.5]), np.zeros(2), 0.1, ShotPlan(100))
+
     def test_rejects_phases_outside_range(self):
         with pytest.raises(InvalidInputError):
-            evolve_sigma_phase(np.array([0.0, 3.5]), np.zeros(2), 0.1,
-                               mode="exact")
+            evolve_sigma_phase(np.array([0.0, 3.5]), np.zeros(2), 0.1)
 
 
 class TestDilation:
     def test_unitary_limit(self):
         f = SvdFactors.from_svd(np.eye(2), np.ones(2), np.eye(2), 0.0)
         v0 = np.array([0.6, 0.8])
-        res = dilation_circuit(v0, f, mode="exact")
+        res = dilation_circuit(v0, f)
         assert abs(res.acceptance_rate - 1.0) <= 1e-12
         assert np.abs(res.probs - v0**2).max() <= 1e-12
 
@@ -354,11 +369,16 @@ class TestDilation:
             f = SvdFactors.from_svd(u, s, v, 0.0)
             v0 = rng.standard_normal(n)
             v0 /= np.linalg.norm(v0)
-            res = dilation_circuit(v0, f, mode="exact")
+            res = dilation_circuit(v0, f)
             target = m @ v0 / s[0]
             got = res.amplitudes * np.sqrt(res.acceptance_rate)
             assert np.abs(got - target).max() <= 1e-10
             assert np.isclose(res.acceptance_rate, target @ target, atol=1e-12)
+
+    def test_plan_needs_rng(self):
+        f = SvdFactors.from_svd(np.eye(2), np.ones(2), np.eye(2), 0.0)
+        with pytest.raises(InvalidInputError):
+            dilation_circuit(np.array([0.6, 0.8]), f, ShotPlan(100))
 
     def test_sampled_distribution(self):
         rng = np.random.default_rng(13)
@@ -366,9 +386,8 @@ class TestDilation:
         u, s, v = matcore.svd(m)
         f = SvdFactors.from_svd(u, s, v, 0.0)
         v0 = np.array([1.0, 0.0])
-        exact = dilation_circuit(v0, f, mode="exact")
-        res = dilation_circuit(v0, f, ShotPlan(10**6),
-                               mode="sampled", rng=derive_rng(7, 0))
+        exact = dilation_circuit(v0, f)
+        res = dilation_circuit(v0, f, ShotPlan(10**6), rng=derive_rng(7, 0))
         assert np.abs(res.probs - exact.probs).max() <= 5e-3
         assert abs(res.acceptance_rate - exact.acceptance_rate) <= 5e-3
 
@@ -393,8 +412,7 @@ class TestDilation:
             return out
 
         monkeypatch.setattr(qsim, "circuit_probs", spy)
-        dilation_circuit(v0, f, ShotPlan(100), noise,
-                         mode="noisy", rng=derive_rng(1, 0))
+        dilation_circuit(v0, f, ShotPlan(100, noise), rng=derive_rng(1, 0))
 
         n_sys = int(np.log2(pad_dim(n)))
         n_qubits = n_sys + 1
@@ -422,19 +440,6 @@ class TestDilation:
         assert len(seen) == 1
         assert np.abs(seen[0] - np.real(np.diag(rho))).max() <= 1e-12
 
-    def test_noiseless_noisy_mode_matches_sampled(self):
-        rng = np.random.default_rng(15)
-        m = rng.standard_normal((3, 3))
-        u, s, v = matcore.svd(m)
-        f = SvdFactors.from_svd(u, s, v, 0.0)
-        v0 = np.array([0.6, 0.0, 0.8])
-        plan = ShotPlan(10**4)
-        noisy = dilation_circuit(v0, f, plan, NoiseSpec(), mode="noisy",
-                                 rng=derive_rng(2, 0))
-        sampled = dilation_circuit(v0, f, plan, mode="sampled",
-                                   rng=derive_rng(2, 0))
-        assert np.array_equal(noisy.record, sampled.record)
-
 
 class TestQsvdStep:
     def _setup(self, demo_gen, demo_seeds):
@@ -446,8 +451,7 @@ class TestQsvdStep:
         f, history = self._setup(demo_gen, demo_seeds)
         h = demo_cfg.step_size
         classical = step_factors(f, history, demo_gen, h)
-        state, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h,
-                             mode="exact")
+        state, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h)
         emulated = state.to_factors()
         assert np.abs(emulated.u - classical.u).max() <= 1e-10
         assert np.abs(emulated.v - classical.v).max() <= 1e-10
@@ -481,8 +485,7 @@ class TestQsvdStep:
         h = demo_cfg.step_size
         classical = step_factors(f, history, demo_gen, h)
         state, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h,
-                             ShotPlan(10**6), mode="sampled",
-                             master_seed=1234)
+                             ShotPlan(10**6), master_seed=1234)
         gap = np.abs(state.u - classical.u).max()
         assert 0.0 < gap <= 1e-2  # binomial magnitude error at 1e6 shots
 
@@ -498,25 +501,18 @@ class TestQsvdStep:
         plan = ShotPlan(10**5)
         for i in range(400):
             state, snap = qsvd_step(state, history, gen, 0.1, plan,
-                                    mode="sampled", master_seed=99,
-                                    step_index=i)
+                                    master_seed=99, step_index=i)
             history = [history[1], snap]
         assert np.all(np.isfinite(state.u))
         assert np.abs(state.u - u).max() <= 0.2
         assert np.abs(state.tilde[1] - 0.5) <= 0.2
         assert np.isclose(state.sigma1, 1.0)
 
-    def test_rejects_unknown_mode(self, demo_gen, demo_seeds):
-        f, history = self._setup(demo_gen, demo_seeds)
-        with pytest.raises(InvalidInputError):
-            qsvd_step(QsvdState.from_factors(f), history, demo_gen, 1.0,
-                      mode="bogus")
-
     def test_deterministic(self, demo_cfg, demo_gen, demo_seeds):
         f, history = self._setup(demo_gen, demo_seeds)
         h = demo_cfg.step_size
-        kw = dict(plan=ShotPlan(10**4), noise=NoiseSpec(1e-3, 1e-2, 1e-2),
-                  mode="noisy", master_seed=5, step_index=3)
+        kw = dict(plan=ShotPlan(10**4, NoiseSpec(1e-3, 1e-2, 1e-2)),
+                  master_seed=5, step_index=3)
         a, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h, **kw)
         b, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h, **kw)
         assert np.array_equal(a.u, b.u)

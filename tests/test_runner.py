@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from svdflow.config import RunConfig, build_generator
-from svdflow.odeflow import seed_factors
+from svdflow.errors import ConfigError
+from svdflow.odeflow import Generator, seed_factors
+from svdflow.qsim import NoiseSpec
 from svdflow.runner import run_qsvd
 from svdflow.svdeom import compute_snapshot, reconstruct_phi, step_factors
 
@@ -60,3 +62,39 @@ def test_exact_run_ignores_project():
     for a, b in zip(plain.factors, projected.factors, strict=True):
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.tilde, b.tilde) and a.sigma1 == b.sigma1
+
+
+# The mode is read once, in run_qsvd: exact runs without a ShotPlan, sampled
+# with a noise-free one and noisy with one that carries cfg.noise.
+
+def measured_demo_cfg(small_cfg, **extra):
+    return dataclasses.replace(small_cfg, mode="sampled", project=True,
+                               dilation=True, **extra).validate()
+
+
+def test_noise_free_noisy_mode_matches_sampled(small_cfg):
+    cfg = measured_demo_cfg(small_cfg)
+    sampled = run_qsvd(cfg)
+    noisy = run_qsvd(dataclasses.replace(cfg, mode="noisy"))
+    assert np.array_equal(noisy.rows, sampled.rows)
+
+
+def test_sampled_mode_ignores_configured_noise(small_cfg):
+    cfg = measured_demo_cfg(small_cfg)
+    noise = NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)
+    plain = run_qsvd(cfg)
+    assert np.array_equal(run_qsvd(dataclasses.replace(cfg, noise=noise)).rows,
+                          plain.rows)
+    # the same spec does act in noisy mode
+    noisy = run_qsvd(dataclasses.replace(cfg, mode="noisy", noise=noise))
+    assert not np.array_equal(noisy.rows, plain.rows)
+
+
+def test_unknown_mode_is_a_config_error(small_cfg):
+    # raised before seeding or any step: A(t) is never evaluated
+    def untouched(t):
+        raise AssertionError("generator evaluated")
+
+    with pytest.raises(ConfigError, match="bogus") as excinfo:
+        run_qsvd(dataclasses.replace(small_cfg, mode="bogus"), Generator(2, untouched))
+    assert excinfo.value.step is None
