@@ -95,6 +95,9 @@ class RunConfig:
         if self.dilation and not self.project and self.mode != "exact":
             raise ConfigError(f"dilation in {self.mode} mode needs project: "
                               "measured factors are not orthogonal")
+        if self.noise != NoiseSpec() and self.mode != "noisy":
+            raise ConfigError(f"a nonzero noise spec needs mode 'noisy', got mode "
+                              f"{self.mode!r}, which would run without it")
         return self
 
 

@@ -22,10 +22,13 @@ distribution is identical in distribution to running every shot as its own
 independent noisy execution - the granularity at which hardware repeats a
 circuit. `apply_unitary` is the noise-free statevector gate.
 
-Determinism: every stochastic sub-task derives its own RNG from
-(master_seed, step_index, task_kind, ...) via numpy's SeedSequence, so runs
-with identical configurations are bit-identical regardless of evaluation
-order.
+Determinism: every stochastic sub-task draws from its own RNG stream,
+PCG64 seeded by numpy's SeedSequence([master_seed, step_index, task_kind,
+...]), so runs with identical configurations are bit-identical regardless
+of evaluation order. `derive_rng` builds one such stream and is the
+specification; the step loop gets the same streams from `stream_rng`, which
+hashes the seeds of every stream of a block of STREAM_BLOCK steps in one
+vectorized pass and sets each into one reused generator.
 """
 
 from __future__ import annotations
@@ -62,6 +65,132 @@ CONTRAST_FLOOR = 0.5  # least cos^2 + sin^2 a measured phase estimate accepts
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Deterministic per-task RNG from the master seed and an integer path."""
     return np.random.default_rng([int(master_seed), *map(int, path)])
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator), the multiplier
+# of PCG64's 128-bit LCG, and the steps whose streams are derived together.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+STREAM_BLOCK = 64
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k < count: a SeedSequence hash's constants."""
+    out = np.empty(count, dtype=np.uint32)
+    for k in range(count):
+        out[k] = init
+        init = init * mult & 0xFFFFFFFF
+    return out
+
+
+def _int_words(value: int) -> list[int]:
+    """A non-negative int as numpy coerces entropy: little-endian uint32
+    words, [0] for 0."""
+    if value < 0:
+        raise InvalidInputError(f"rng seed must be >= 0, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of a
+    (K, L) uint32 array of entropy words, in one pass over the K rows.
+
+    The four-word pool takes the hashmix of the first four words (of zeros
+    past the end), mixes every pool word into every other, and then absorbs
+    each word past the fourth into every pool word; the output hash cycles
+    the pool into eight uint32 words, read as four little-endian uint64.
+    """
+    k, length = entropy.shape
+    n_hashmix = _POOL_SIZE**2 + max(length - _POOL_SIZE, 0) * _POOL_SIZE
+    chain = _hash_chain(_INIT_A, _MULT_A, n_hashmix + 1)
+    consts = iter(zip(chain[:-1], chain[1:]))
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> 16)
+
+    zeros = np.zeros(k, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    chain = _hash_chain(_INIT_B, _MULT_B, 9)
+    out = (np.stack(pool * 2, axis=-1) ^ chain[:-1]) * chain[1:]
+    out ^= out >> 16
+    return out.view(np.uint64)
+
+
+def _grid_words(seed: list[int], *axes: Sequence[int]) -> np.ndarray:
+    """Seed words (*map(len, axes), 4) of the streams [seed, a0, a1, ...]
+    for every point of the grid of the axes."""
+    grid = np.stack(np.meshgrid(*map(np.asarray, axes), indexing="ij"), axis=-1)
+    assert 0 <= grid.min() and grid.max() <= 0xFFFFFFFF  # one word per entry
+    lead = grid.shape[:-1]
+    entropy = np.concatenate(
+        [np.broadcast_to(np.asarray(seed), (*lead, len(seed))), grid], axis=-1)
+    return _seed_words(entropy.reshape(-1, entropy.shape[-1]).astype(np.uint32)
+                       ).reshape(*lead, 4)
+
+
+@functools.lru_cache(maxsize=1)
+def _stream_block(master_seed: int, block: int, n: int) -> tuple[np.ndarray, ...]:
+    """Seed words of every stream of the STREAM_BLOCK steps from block *
+    STREAM_BLOCK on in an n-state flow, one uint64 array per task kind,
+    indexed [step % STREAM_BLOCK, *index, word]: rows i of U (kind 0) and V
+    (kind 1), phase interferometers (j, w) (kind 2) and the dilation (kind 3)."""
+    seed = _int_words(master_seed)
+    steps = range(block * STREAM_BLOCK, (block + 1) * STREAM_BLOCK)
+    rows = _grid_words(seed, steps, (0, 1), range(n))
+    phases = _grid_words(seed, steps, (2,), range(n), (0, 1))
+    dilation = _grid_words(seed, steps, (3,))
+    return rows[:, 0], rows[:, 1], phases[:, 0], dilation[:, 0]
+
+
+def release_streams() -> None:
+    """Drop the cached block of stream seeds. A solve calls this when it
+    ends, so that no allocation of the solve outlives it: a block left live
+    on the heap can make the next set-up's temporaries grow and trim the
+    heap top on every chunk."""
+    _stream_block.cache_clear()
+
+
+_STREAM_RNG = np.random.Generator(np.random.PCG64(0))
+
+
+def stream_rng(master_seed: int, n: int, step: int, kind: int,
+               *index: int) -> np.random.Generator:
+    """The generator derive_rng(master_seed, step, kind, *index) builds, for
+    a task of an n-state step (see `_stream_block`), at a fraction of its cost.
+
+    PCG64 seeded with words (s0, s1, i0, i1) starts at inc = 2 (i0:i1) + 1
+    and state = ((inc + (s0:s1)) * M + inc) mod 2^128. The state is set into
+    one reused generator, so each call reseeds the generator the previous
+    call returned: draw from it before the next call.
+    """
+    words = _stream_block(master_seed, step // STREAM_BLOCK, n)[kind]
+    s0, s1, i0, i1 = words[(step % STREAM_BLOCK, *index)].tolist()
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+    _STREAM_RNG.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0}
+    return _STREAM_RNG
 
 
 def pad_dim(n: int) -> int:
@@ -354,6 +483,16 @@ class DilationResult:
     record: np.ndarray | None = None   # counts of the sampled circuit
 
 
+@functools.lru_cache(maxsize=64)
+def _ancilla_hadamard(dim: int) -> np.ndarray:
+    """H on an ancilla above a dim-dimensional system (the ancilla is the
+    most significant qubit), built once per dim and returned read-only."""
+    had = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+                  np.eye(dim))
+    had.flags.writeable = False
+    return had
+
+
 def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None,
                      rng: np.random.Generator | None = None) -> DilationResult:
     """One-ancilla dilation circuit applying the nonunitary propagator.
@@ -372,8 +511,7 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
     n_sys, dim = system.n_qubits, system.dim
     anc = n_sys  # ancilla is the most significant qubit
     state = StateVec(n_sys + 1, np.concatenate([system.amps, np.zeros(dim)]))
-    had = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-                  np.eye(dim))
+    had = _ancilla_hadamard(dim)
     sys_qubits = list(range(n_sys))
 
     sp = np.ones(dim, dtype=complex)
@@ -461,6 +599,7 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
     nearest orthogonal matrices. New phases are folded back into [0, pi]: one
     that crossed 0 would turn the next step's phase generator the wrong way.
     """
+    n = len(state.phases)
     try:
         snap = snapshot_from_arrays(state.u, state.tilde, a, state.t,
                                     tol_degen, tol_sat)
@@ -473,16 +612,16 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
         else:
             u_new = propagate_row(
                 state.u, cay_z.T, plan,
-                lambda i: derive_rng(master_seed, step_index, 0, i))
+                lambda i: stream_rng(master_seed, n, step_index, 0, i))
             v_new = propagate_row(
                 state.v, cay_w.T, plan,
-                lambda i: derive_rng(master_seed, step_index, 1, i))
+                lambda i: stream_rng(master_seed, n, step_index, 1, i))
             if project:
                 u_new = nearest_orthogonal(u_new)
                 v_new = nearest_orthogonal(v_new)
         phases_new = np.abs(evolve_sigma_phase(
             state.phases, l_mid, h, plan,
-            rng_factory=lambda j, w: derive_rng(master_seed, step_index, 2, j, w)))
+            rng_factory=lambda j, w: stream_rng(master_seed, n, step_index, 2, j, w)))
         sigma1_new = state.sigma1 * float(np.exp(h * g11_mid))
     except SvdFlowError as exc:
         if exc.step is None:

@@ -17,9 +17,10 @@ from .qsim import (
     NoiseSpec,
     QsvdState,
     ShotPlan,
-    derive_rng,
     dilation_circuit,
     qsvd_step,
+    release_streams,
+    stream_rng,
 )
 from .svdeom import SvdFactors, compute_snapshot, reconstruct_phi, sigma_plus
 
@@ -104,8 +105,8 @@ def _record_row(cfg: RunConfig, plan: ShotPlan | None, step: int,
     p_q = reconstruct_phi(f) @ v0
     if cfg.dilation and plan is not None:
         try:
-            acc = dilation_circuit(v0, f, plan,
-                                   derive_rng(cfg.rng_seed, step, 3)).acceptance_rate
+            acc = dilation_circuit(v0, f, plan, stream_rng(
+                cfg.rng_seed, f.dim, step, 3)).acceptance_rate
         except SvdFlowError as exc:
             if exc.step is None:
                 exc.step = step
@@ -130,7 +131,8 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
 
     Every fidelity mode runs the same step loop over `qsvd_step`; the mode
     is read here alone, as its ShotPlan: none for "exact", a noise-free one
-    for "sampled" (cfg.noise is ignored), one with cfg.noise for "noisy".
+    for "sampled", one with cfg.noise for "noisy" (`RunConfig.validate`
+    rejects a nonzero cfg.noise in the other modes).
     Guard errors carry the step they tripped at.
     """
     t_start = time.perf_counter()
@@ -152,18 +154,21 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         compute_snapshot(f_m2, gen, cfg.tol_degen, cfg.tol_sat),
         compute_snapshot(f_m1, gen, cfg.tol_degen, cfg.tol_sat),
     ]
-    rows = [_record_row(cfg, plan, 0, ref_grid[0], f0)]
     factors = [f0]
     state = QsvdState.from_factors(f0)
-    for i in range(cfg.n_steps):
-        state, snap = qsvd_step(
-            state, history, gen, h, plan, master_seed=cfg.rng_seed,
-            step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
-            tol_sat=cfg.tol_sat)
-        history = [history[1], snap]
-        f = state.to_factors()
-        rows.append(_record_row(cfg, plan, i + 1, ref_grid[i + 1], f))
-        factors.append(f)
+    try:
+        rows = [_record_row(cfg, plan, 0, ref_grid[0], f0)]
+        for i in range(cfg.n_steps):
+            state, snap = qsvd_step(
+                state, history, gen, h, plan, master_seed=cfg.rng_seed,
+                step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
+                tol_sat=cfg.tol_sat)
+            history = [history[1], snap]
+            f = state.to_factors()
+            rows.append(_record_row(cfg, plan, i + 1, ref_grid[i + 1], f))
+            factors.append(f)
+    finally:
+        release_streams()
 
     table = np.array(rows)
     dpd = np.abs(table[:, 3] - table[:, 1])

@@ -54,14 +54,16 @@ class TestConfig:
             load_config(path)
 
     def test_noise_parsing(self, tmp_path):
-        path = write_config(tmp_path, {"noise": {"p1": 0.1, "p_ro": 0.2}})
+        path = write_config(tmp_path, {"mode": "noisy",
+                                       "noise": {"p1": 0.1, "p_ro": 0.2}})
         cfg = load_config(path)
         assert cfg.noise == NoiseSpec(p1=0.1, p2=0.0, p_ro=0.2)
         with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, {"noise": {"p1": 2.0}}))
+            load_config(write_config(tmp_path, {"mode": "noisy", "noise": {"p1": 2.0}}))
 
     def test_noise_flag_keeps_file_probabilities(self, tmp_path):
-        path = write_config(tmp_path, {"noise": {"p1": 0.1, "p2": 0.02, "p_ro": 0.03}})
+        path = write_config(tmp_path, {"mode": "noisy",
+                                       "noise": {"p1": 0.1, "p2": 0.02, "p_ro": 0.03}})
         args = build_parser().parse_args(
             ["qsvd", "--config", path, "--noise-p1", "1e-3", "--out", "x.csv"])
         assert _config_from_args(args).noise == NoiseSpec(p1=1e-3, p2=0.02, p_ro=0.03)
@@ -152,6 +154,19 @@ class TestCli:
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+    def test_noise_outside_noisy_mode_exit_code(self, tmp_path, capsys):
+        # sampled and exact runs would drop the spec while the summary
+        # reported it, so it is rejected before any step runs
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "x.csv")
+        for mode in ("sampled", "exact"):
+            assert main(["qsvd", "--config", cfg, "--mode", mode,
+                         "--noise-p2", "0.05", "--out", out]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "ConfigError"
+            assert "mode" in record["message"]
+            assert "step" not in record
 
     def test_dilation_needs_project_when_measured(self, tmp_path, capsys):
         # measured rows are never orthogonal enough for the dilation's gates,

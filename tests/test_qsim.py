@@ -25,11 +25,14 @@ from svdflow.qsim import (
     readout_confusion,
     sample_probs,
 )
+from svdflow.runner import initial_state
 from svdflow.svdeom import (
     SvdFactors,
     compute_snapshot,
+    midpoint_generators,
     reconstruct_phi,
     sigma_plus,
+    snapshot_from_arrays,
     step_factors,
 )
 
@@ -102,6 +105,36 @@ class TestPlumbing:
         for value in (1.5, True, "0.1", None):
             with pytest.raises(InvalidInputError):
                 NoiseSpec(p1=value)
+
+
+class TestStreams:
+    """`stream_rng` against its specification, `derive_rng`."""
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_seed_words_match_seed_sequence(self, length):
+        # lengths below, at and above the four-word pool
+        entropy = np.random.default_rng(length).integers(
+            0, 2**32, size=(40, length), dtype=np.uint32)
+        entropy[0], entropy[1] = 0, 2**32 - 1
+        want = [np.random.SeedSequence(row.tolist()).generate_state(4, np.uint64)
+                for row in entropy]
+        assert np.array_equal(qsim._seed_words(entropy), want)
+
+    @pytest.mark.parametrize("seed", [0, 1234, 2**32 - 1, 2**32, 2**40 + 5, 10**18])
+    def test_block_streams_match_derive_rng(self, seed):
+        # every task kind, on both sides of the 63/64 block edge
+        for step, n in itertools.product((0, 63, 64, 399, 1000), (2, 3, 8)):
+            paths = [(kind, i) for kind in (0, 1) for i in range(n)]
+            paths += [(2, j, w) for j in range(1, n) for w in (0, 1)] + [(3,)]
+            for path in paths:
+                got = qsim.stream_rng(seed, n, step, *path).bit_generator.state
+                assert got == derive_rng(seed, step, *path).bit_generator.state, \
+                    (step, n, path)
+
+    def test_stream_draws_match_derive_rng(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        got = qsim.stream_rng(7, 2, 64, 2, 1, 0).multinomial(10**6, probs)
+        assert np.array_equal(got, derive_rng(7, 64, 2, 1, 0).multinomial(10**6, probs))
 
 
 class TestApplyUnitary:
@@ -375,6 +408,13 @@ class TestDilation:
             assert np.abs(got - target).max() <= 1e-10
             assert np.isclose(res.acceptance_rate, target @ target, atol=1e-12)
 
+    def test_ancilla_hadamard_built_once_and_read_only(self):
+        had = qsim._ancilla_hadamard(4)
+        assert np.array_equal(had, np.kron(HAD, np.eye(4)))
+        assert qsim._ancilla_hadamard(4) is had
+        with pytest.raises(ValueError):
+            had[0, 0] = 1.0
+
     def test_plan_needs_rng(self):
         f = SvdFactors.from_svd(np.eye(2), np.ones(2), np.eye(2), 0.0)
         with pytest.raises(InvalidInputError):
@@ -507,6 +547,37 @@ class TestQsvdStep:
         assert np.abs(state.u - u).max() <= 0.2
         assert np.abs(state.tilde[1] - 0.5) <= 0.2
         assert np.isclose(state.sigma1, 1.0)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(1e-3, 1e-2, 1e-2)])
+    def test_measured_step_draws_the_derive_rng_streams(self, noise):
+        # steps 62..65 straddle a stream block; n = 3 pads to 4 amplitudes
+        cfg = RunConfig(model_name="synthetic",
+                        model_params={"n": 3, "seed": 3, "smoothness": 0.1},
+                        t_seed=1.0, t_f=1.2, n_steps=40, seed_substeps=5000).validate()
+        gen = build_generator(cfg)
+        h, seed, plan = cfg.step_size, 2**32 + 7, ShotPlan(10**4, noise)
+        seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
+        history = [compute_snapshot(x, gen) for x in seeds[:2]]
+        state = QsvdState.from_factors(seeds[2])
+        v0 = initial_state(3)
+        for step in range(62, 66):
+            new, snap = qsvd_step(state, history, gen, h, plan, master_seed=seed,
+                                  step_index=step, project=True)
+            z_mid, w_mid, l_mid, _ = midpoint_generators(
+                snapshot_from_arrays(state.u, state.tilde, gen, state.t), history)
+            for kind, rows, mid, got in ((0, state.u, z_mid, new.u),
+                                         (1, state.v, w_mid, new.v)):
+                want = propagate_row(rows, matcore.cayley(mid, h).T, plan,
+                                     lambda i: derive_rng(seed, step, kind, i))
+                assert np.array_equal(got, matcore.nearest_orthogonal(want))
+            phases = evolve_sigma_phase(state.phases, l_mid, h, plan,
+                                        lambda j, w: derive_rng(seed, step, 2, j, w))
+            assert np.array_equal(new.phases, np.abs(phases))
+            f = new.to_factors()
+            assert np.array_equal(
+                dilation_circuit(v0, f, plan, qsim.stream_rng(seed, 3, step, 3)).record,
+                dilation_circuit(v0, f, plan, derive_rng(seed, step, 3)).record)
+            state, history = new, [history[1], snap]
 
     def test_deterministic(self, demo_cfg, demo_gen, demo_seeds):
         f, history = self._setup(demo_gen, demo_seeds)

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from svdflow import qsim
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import ConfigError
 from svdflow.odeflow import Generator, seed_factors
-from svdflow.qsim import NoiseSpec
-from svdflow.runner import run_qsvd
+from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit
+from svdflow.runner import initial_state, run_qsvd
 from svdflow.svdeom import compute_snapshot, reconstruct_phi, step_factors
 
 
@@ -79,15 +80,30 @@ def test_noise_free_noisy_mode_matches_sampled(small_cfg):
     assert np.array_equal(noisy.rows, sampled.rows)
 
 
-def test_sampled_mode_ignores_configured_noise(small_cfg):
+def test_sampled_mode_rejects_configured_noise(small_cfg):
     cfg = measured_demo_cfg(small_cfg)
     noise = NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)
-    plain = run_qsvd(cfg)
-    assert np.array_equal(run_qsvd(dataclasses.replace(cfg, noise=noise)).rows,
-                          plain.rows)
+    for mode in ("sampled", "exact"):
+        with pytest.raises(ConfigError, match="mode"):
+            dataclasses.replace(cfg, mode=mode, noise=noise).validate()
     # the same spec does act in noisy mode
-    noisy = run_qsvd(dataclasses.replace(cfg, mode="noisy", noise=noise))
+    plain = run_qsvd(cfg)
+    noisy = run_qsvd(dataclasses.replace(cfg, mode="noisy", noise=noise).validate())
     assert not np.array_equal(noisy.rows, plain.rows)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "noisy"])
+def test_dilation_column_draws_the_derive_rng_stream(small_cfg, mode):
+    # grid point i draws derive_rng(rng_seed, i, 3); 70 steps cross a stream block
+    noise = NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2) if mode == "noisy" else NoiseSpec()
+    cfg = dataclasses.replace(measured_demo_cfg(small_cfg, n_steps=70), mode=mode,
+                              noise=noise).validate()
+    result = run_qsvd(cfg)
+    assert qsim._stream_block.cache_info().currsize == 0  # released with the solve
+    plan, v0 = ShotPlan(cfg.n_shots, noise), initial_state(2)
+    want = [dilation_circuit(v0, f, plan, derive_rng(cfg.rng_seed, i, 3)).acceptance_rate
+            for i, f in enumerate(result.factors)]
+    assert np.array_equal(result.rows[:, -1], want)
 
 
 def test_unknown_mode_is_a_config_error(small_cfg):
