@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -83,22 +84,38 @@ def _config_from_args(args) -> "RunConfig":
     return load_config(args.config, overrides)
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work when the directory of an output path is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory!r} of {path!r} does not exist")
+
+
+def _write(writer, path: str, *data) -> None:
+    try:
+        writer(path, *data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def cmd_reference(args) -> int:
+    _check_out_dir(args.out)
     cfg = _config_from_args(args)
     gen = build_generator(cfg)
     ref = compute_reference(cfg, gen)
-    write_csv(args.out, ref.columns, ref.rows)
+    _write(write_csv, args.out, ref.columns, ref.rows)
     return 0
 
 
 def cmd_qsvd(args) -> int:
+    _check_out_dir(args.out)
     cfg = _config_from_args(args)
     result = run_qsvd(cfg)
-    write_csv(args.out, result.columns, result.rows)
+    _write(write_csv, args.out, result.columns, result.rows)
     summary_path = args.out + ".summary.json" if not args.out.endswith(".csv") \
         else args.out[:-4] + ".summary.json"
     result.summary["outputs"] = {"trajectory": args.out}
-    write_json(summary_path, result.summary)
+    _write(write_json, summary_path, result.summary)
     return 0
 
 

@@ -100,13 +100,15 @@ def skew_part(m: np.ndarray) -> np.ndarray:
 def nearest_orthogonal(m: np.ndarray) -> np.ndarray:
     """Project a full-rank square matrix onto the nearest orthogonal matrix.
 
-    Uses the polar factor u @ v.T from the SVD of m. Rank deficiency makes
-    the projection non-unique and raises ProjectionUndefinedError.
+    Uses the polar factor u @ vt from the SVD m = u diag(s) vt. Flipping a
+    column of u and the matching row of vt leaves u @ vt as it is, so the
+    sign convention of `svd` is not needed. Rank deficiency makes the
+    projection non-unique and raises ProjectionUndefinedError.
     """
     m = _require_square_finite(m)
-    u, s, v = svd(m)
+    u, s, vt = np.linalg.svd(m)
     if s[0] == 0.0 or s[-1] < RANK_TOL * s[0]:
         raise ProjectionUndefinedError(
             f"matrix is rank-deficient (singular values {s}); projection undefined"
         )
-    return u @ v.T
+    return u @ vt

@@ -4,10 +4,14 @@ Registers are little-endian: qubit 0 is the least significant bit of the
 basis-state index. Vectors of dimension N are embedded into the next power
 of two with zero padding. Every gate is a full-register matrix, applied as
 one product (`u @ amps`, or `u @ rho @ u^dagger` on a density matrix);
-a gate on part of the register is built with `np.kron`, and the qubit list
-that comes with a gate names only the qubits its depolarizing noise acts on.
-States (..., 2^n) and gates (B, 2^n, 2^n) may be stacks that broadcast, so the
-rows of a factor run as one circuit, and so does each interferometer family.
+the qubit list that comes with a gate names only the qubits its
+depolarizing noise acts on. States (..., 2^n) and gates (B, 2^n, 2^n) may be
+stacks that broadcast, so the rows of a factor run as one circuit, so does
+each interferometer family, and so do the dilation circuits of several grid
+points (`dilation_stack`). `sample_probs` draws a whole stack of probability
+vectors in one pass. Every gate is checked for
+unitarity when it is applied, except the cached constant gates (S^dagger,
+mixing, ancilla Hadamard), which are checked once, when they are built.
 
 `qsvd_step`, the one step of the factor flow, and its circuits take an
 optional `ShotPlan`: the shots per circuit and the `NoiseSpec` (per-gate
@@ -28,7 +32,10 @@ PCG64 seeded by numpy's SeedSequence([master_seed, step_index, task_kind,
 of evaluation order. `derive_rng` builds one such stream and is the
 specification; the step loop gets the same streams from `stream_rng`, which
 hashes the seeds of every stream of a block of STREAM_BLOCK steps in one
-vectorized pass and sets each into one reused generator.
+vectorized pass and sets each into one reused generator. Stacking keeps
+every stream: each member of a drawn stack reseeds from its own stream
+before its own multinomial draw, so the counts are those of its circuit run
+alone.
 """
 
 from __future__ import annotations
@@ -271,19 +278,42 @@ class StateVec:
         return self.amps.shape[-1]
 
 
+UNITARY_TOL = 1e-10  # Frobenius norm that u^dagger u - I of a gate may reach
+
+# Read-only gates built once and checked then (see `_fixed_gate`), by id; the
+# reference held here keeps an id from being reused by another array.
+_FIXED_GATES: dict[int, np.ndarray] = {}
+
+
+def _unitarity_defect(u: np.ndarray) -> np.ndarray:
+    """u^dagger u - I of a gate, or of each member of a stack."""
+    return u.conj().mT @ u - np.eye(u.shape[-1])
+
+
 def _checked_gate(u: np.ndarray, qubits: Sequence[int] | None, n_qubits: int
                   ) -> tuple[np.ndarray, Sequence[int]]:
     """The full-register gate (or a stack) as a complex array with the qubits
     its noise acts on (the whole register when None), after shape and
-    unitarity checks; one norm over a stack bounds every member's."""
+    unitarity checks; one norm over a stack bounds every member's. A fixed
+    gate was checked when it was built and is not checked again."""
     u = np.asarray(u, dtype=complex)
     dim = 2**n_qubits
     if u.shape[-2:] != (dim, dim):
         raise InvalidInputError(
             f"gate shape {u.shape} does not match a {n_qubits}-qubit register")
-    if not np.linalg.norm(u.conj().mT @ u - np.eye(dim)) <= 1e-10:  # NaN fails
+    if (_FIXED_GATES.get(id(u)) is not u
+            and not np.linalg.norm(_unitarity_defect(u)) <= UNITARY_TOL):  # NaN fails
         raise InvalidGateError("gate matrix is not unitary")
     return u, range(n_qubits) if qubits is None else qubits
+
+
+def _fixed_gate(u: np.ndarray) -> np.ndarray:
+    """A gate (or stack) that is built once and cached: checked here, made
+    read-only and registered, so that `_checked_gate` skips its re-check."""
+    u, _ = _checked_gate(u, None, u.shape[-1].bit_length() - 1)
+    u.flags.writeable = False
+    _FIXED_GATES[id(u)] = u
+    return u
 
 
 def apply_unitary(state: StateVec, u: np.ndarray) -> StateVec:
@@ -358,15 +388,23 @@ def readout_confusion(n_qubits: int, p_ro: float) -> np.ndarray:
 
 
 def sample_probs(probs: np.ndarray, plan: ShotPlan,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Counts of plan.n_shots draws from one full-register probability
-    vector with the plan's readout flips mixed in."""
-    probs = probs / probs.sum()
+                 rng_for: Callable[[int], np.random.Generator]) -> np.ndarray:
+    """Counts (..., 2^n) of plan.n_shots draws from each full-register
+    probability vector of a stack (..., 2^n), with the plan's readout flips
+    mixed in.
+
+    The whole stack is normalized and mixed in one pass; then member i of the
+    flattened stack draws from rng_for(i), which is called right before its
+    draw. A single vector is the stack of one and draws from rng_for(0).
+    """
+    probs = probs / probs.sum(axis=-1, keepdims=True)
     if plan.noise.p_ro > 0.0:
         n_qubits = probs.shape[-1].bit_length() - 1
-        probs = readout_confusion(n_qubits, plan.noise.p_ro) @ probs
-        probs = probs / probs.sum()
-    return rng.multinomial(plan.n_shots, probs)
+        probs = np.matvec(readout_confusion(n_qubits, plan.noise.p_ro), probs)
+        probs = probs / probs.sum(axis=-1, keepdims=True)
+    flat = probs.reshape(-1, probs.shape[-1])
+    counts = [rng_for(i).multinomial(plan.n_shots, p) for i, p in enumerate(flat)]
+    return np.array(counts).reshape(probs.shape)
 
 
 def _sign_or(values: np.ndarray) -> np.ndarray:
@@ -384,7 +422,7 @@ def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
     """Advance the rows (m, n) of an orthogonal factor under the transposed Cayley map.
 
     The rows are encoded as a stack of states, run as one circuit under the
-    plan's noise, measured (row i draws from rng_factory(i)) and rebuilt as
+    plan's noise, drawn as one stack (row i from rng_factory(i)) and rebuilt as
     sign * sqrt(p_hat). Each entry keeps its own sign unless its measured
     magnitude falls below the sign floor; it then takes the sign of the
     noise-free classical prediction.
@@ -397,8 +435,7 @@ def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
     states = StateVec.from_amplitudes(rows)
     gate = embed_unitary(cay_zt.astype(complex), states.dim)
     probs = circuit_probs(states, [(gate, None)], plan.noise)
-    p = np.array([sample_probs(q, plan, rng_factory(i))[:n]
-                  for i, q in enumerate(probs)], dtype=float)
+    p = sample_probs(probs, plan, rng_factory)[:, :n].astype(float)
     total = p.sum(axis=1, keepdims=True)
     if (total == 0.0).any():
         raise RowReconstructionError("all sampled row magnitudes are zero")
@@ -411,14 +448,14 @@ def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
 @functools.lru_cache(maxsize=64)
 def _interferometer_gates(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """S^dagger and Hadamard-type mixing stacks of the phase interferometers,
-    built once and returned read-only; member j-1 acts on {|0>, |j>} only."""
+    built and checked once and returned read-only; member j-1 acts on
+    {|0>, |j>} only."""
     k, js = np.arange(n - 1), np.arange(1, n)
     sdg, mix = np.tile(np.eye(dim, dtype=complex), (2, n - 1, 1, 1))
     sdg[k, js, js] = -1j
     mix[k, 0, 0] = mix[k, 0, js] = mix[k, js, 0] = 1.0 / np.sqrt(2.0)
     mix[k, js, js] = -1.0 / np.sqrt(2.0)
-    sdg.flags.writeable = mix.flags.writeable = False
-    return sdg, mix
+    return _fixed_gate(sdg), _fixed_gate(mix)
 
 
 def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
@@ -434,8 +471,9 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
     mixing yields cos(phi_j), the same mixing preceded by an S^dagger phase
     on |j> yields sin(phi_j), and phi_j = atan2(sin, cos). Phase 0 is the
     reference and stays 0. Each family is one circuit on a stack of n-1
-    gates, one per j; circuit j draws from rng_factory(j, 0) (cos) or
-    rng_factory(j, 1) (sin).
+    gates, one per j. Both families are drawn as one (n-1, 2) stack: circuit
+    j draws from rng_factory(j, 0) (cos) or rng_factory(j, 1) (sin). The
+    count and contrast guards are taken in the order of j, cos before sin.
     """
     phases = np.asarray(phases, dtype=float)
     if np.any(np.abs(phases) >= np.pi):
@@ -452,33 +490,41 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
     base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(n))
     evo = embed_unitary(np.diag(factors), base.dim)
     sdg, mix = _interferometer_gates(n, base.dim)
-    family_probs = (circuit_probs(base, [(evo, None), (mix, None)], plan.noise),
-                    circuit_probs(base, [(evo, None), (sdg, None), (mix, None)],
-                                  plan.noise))
-    new = np.zeros(n)
-    for j in range(1, n):
-        estimates = []
-        for which, probs in enumerate(family_probs):
-            counts = sample_probs(probs[j - 1], plan, rng_factory(j, which))
-            p = counts / counts.sum()
-            denom = p[0] + p[j]
-            if denom <= 0.0:
-                raise PhaseReconstructionError(
-                    f"no counts in the interferometer subspace for phase {j}")
-            estimates.append((p[0] - p[j]) / denom)
-        c, s = estimates
-        if c * c + s * s < CONTRAST_FLOOR:
+    probs = np.stack([
+        circuit_probs(base, [(evo, None), (mix, None)], plan.noise),
+        circuit_probs(base, [(evo, None), (sdg, None), (mix, None)], plan.noise),
+    ], axis=1)
+    counts = sample_probs(probs, plan, lambda i: rng_factory(i // 2 + 1, i % 2))
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    k = np.arange(n - 1)
+    p0, pj = p[..., 0], p[k, :, k + 1]  # (n-1, 2): phase j = k + 1, cos and sin
+    denom = p0 + pj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c, s = ((p0 - pj) / denom).T
+    contrast = c * c + s * s
+    starved = (denom <= 0.0).any(axis=1)
+    failed = np.flatnonzero(starved | (contrast < CONTRAST_FLOOR))
+    if len(failed):
+        k = failed[0]
+        if starved[k]:
             raise PhaseReconstructionError(
-                f"interferometer contrast {c*c + s*s:.3f} below "
-                f"{CONTRAST_FLOOR} for phase {j}; decoherence too strong")
-        new[j] = np.arctan2(s, c)
+                f"no counts in the interferometer subspace for phase {k + 1}")
+        raise PhaseReconstructionError(
+            f"interferometer contrast {contrast[k]:.3f} below "
+            f"{CONTRAST_FLOOR} for phase {k + 1}; decoherence too strong")
+    new = np.zeros(n)
+    new[1:] = np.arctan2(s, c)
     return new
 
 
 @dataclass(frozen=True)
 class DilationResult:
+    """Post-selected probabilities (..., n) and acceptance rate of a dilation
+    circuit, or of a stack of them; read exactly, also the post-selected
+    amplitudes, else the counts of the sampled circuit."""
+
     probs: np.ndarray
-    acceptance_rate: float
+    acceptance_rate: float | np.ndarray
     amplitudes: np.ndarray | None = None
     record: np.ndarray | None = None   # counts of the sampled circuit
 
@@ -486,26 +532,52 @@ class DilationResult:
 @functools.lru_cache(maxsize=64)
 def _ancilla_hadamard(dim: int) -> np.ndarray:
     """H on an ancilla above a dim-dimensional system (the ancilla is the
-    most significant qubit), built once per dim and returned read-only."""
-    had = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-                  np.eye(dim))
-    had.flags.writeable = False
-    return had
+    most significant qubit), built and checked once per dim and returned
+    read-only."""
+    return _fixed_gate(np.kron(np.array([[1, 1], [1, -1]], dtype=complex)
+                               / np.sqrt(2.0), np.eye(dim)))
 
 
-def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None,
-                     rng: np.random.Generator | None = None) -> DilationResult:
-    """One-ancilla dilation circuit applying the nonunitary propagator.
+def _block_diagonal(mats: np.ndarray, dim: int) -> np.ndarray:
+    """I_2 (x) embed_unitary(m, dim) for each matrix m of a stack (K, n, n):
+    the same gate on the system whatever the ancilla."""
+    k, n = mats.shape[:2]
+    out = np.zeros((k, 2 * dim, 2 * dim), dtype=complex)
+    pad = np.arange(n, dim)
+    for lo in (0, dim):
+        out[:, lo:lo + n, lo:lo + n] = mats
+        out[:, lo + pad, lo + pad] = 1.0
+    return out
+
+
+def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
+                   plan: ShotPlan | None = None,
+                   rng_for: Callable[[int], np.random.Generator] | None = None,
+                   steps: Sequence[int] | None = None) -> DilationResult:
+    """One-ancilla dilation circuits applying the nonunitary propagators of a
+    stack of factor states to v0, run as one circuit on stacks of gates.
 
     Circuit: H(ancilla) -> V^T (system) -> block-diagonal Sp (+) conj(Sp)
     selected by the ancilla -> U (system) -> H(ancilla) -> measure.
     Conditioned on ancilla 0 the system state is Phi v0 / sigma1 up to
     normalization; the acceptance rate ||Phi v0||^2 / sigma1^2 recovers the
-    norm. Read exactly without a plan, else sampled under it with `rng`.
+    norm. Read exactly without a plan, else sampled under it, member i
+    drawing from rng_for(i). The result carries the stack axis (K, ...).
+
+    `steps`, when given, names the grid point of each member, and an error
+    carries the step of the member it belongs to: the first member with no
+    accepted shot (or zero weight), or for a failed unitarity check the first
+    member whose own gates exceed the bound (the first member when only the
+    norm over the stack does). Other errors carry the first member's step.
     """
+    def step_of(member: int) -> int | None:
+        return None if steps is None else int(steps[member])
+
     v0 = np.asarray(v0, dtype=float)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-10:
-        raise InvalidInputError("initial vector must have unit norm")
+        raise InvalidInputError("initial vector must have unit norm", step_of(0))
+    if plan is not None and rng_for is None:
+        raise InvalidInputError("a ShotPlan needs an rng", step_of(0))
     n = len(v0)
     system = StateVec.from_amplitudes(v0)
     n_sys, dim = system.n_qubits, system.dim
@@ -514,42 +586,62 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
     had = _ancilla_hadamard(dim)
     sys_qubits = list(range(n_sys))
 
-    sp = np.ones(dim, dtype=complex)
-    sp[:n] = sigma_plus(f.tilde)
-    u_sigma = np.diag(np.concatenate([sp, np.conj(sp)]))
+    sp = np.ones((len(factors), dim), dtype=complex)
+    sp[:, :n] = sigma_plus(np.array([f.tilde for f in factors]))
+    u_sigma = np.zeros((len(factors), 2 * dim, 2 * dim), dtype=complex)
+    diag = np.arange(2 * dim)
+    u_sigma[:, diag, diag] = np.concatenate([sp, np.conj(sp)], axis=-1)
+    own = [_block_diagonal(np.array([f.v.T for f in factors]), dim), u_sigma,
+           _block_diagonal(np.array([f.u for f in factors]), dim)]
+    gates = [(had, [anc]), (own[0], sys_qubits), (own[1], list(range(n_sys + 1))),
+             (own[2], sys_qubits), (had, [anc])]
 
-    gates = [
-        (had, [anc]),
-        (np.kron(np.eye(2), embed_unitary(f.v.T.astype(complex), dim)),
-         sys_qubits),
-        (u_sigma, list(range(n_sys + 1))),
-        (np.kron(np.eye(2), embed_unitary(f.u.astype(complex), dim)),
-         sys_qubits),
-        (had, [anc]),
-    ]
+    try:
+        if plan is None:
+            for u, _ in gates:
+                state = apply_unitary(state, u)
+        else:
+            full_probs = circuit_probs(state, gates, plan.noise)
+    except InvalidGateError as exc:
+        defect = [np.linalg.norm(_unitarity_defect(g), axis=(-2, -1)) for g in own]
+        failing = np.flatnonzero(~np.all(np.array(defect) <= UNITARY_TOL, axis=0))
+        exc.step = step_of(failing[0] if len(failing) else 0)
+        raise
+    except SvdFlowError as exc:
+        exc.step = step_of(0)
+        raise
 
     if plan is None:
-        for u, _ in gates:
-            state = apply_unitary(state, u)
-        block = state.amps[:dim]
-        acceptance = float(np.sum(np.abs(block) ** 2))
-        if acceptance == 0.0:
-            raise PostSelectionStarvedError("post-selected branch has zero weight")
-        probs = np.abs(block[:n]) ** 2 / acceptance
+        block = state.amps[:, :dim]
+        acceptance = np.sum(np.abs(block) ** 2, axis=-1)
+        starved = np.flatnonzero(acceptance == 0.0)
+        if len(starved):
+            raise PostSelectionStarvedError("post-selected branch has zero weight",
+                                            step_of(starved[0]))
+        probs = np.abs(block[:, :n]) ** 2 / acceptance[:, None]
         return DilationResult(probs=probs, acceptance_rate=acceptance,
-                              amplitudes=block[:n] / np.sqrt(acceptance))
-    if rng is None:
-        raise InvalidInputError("a ShotPlan needs an rng")
-    full_probs = circuit_probs(state, gates, plan.noise)
-    counts = sample_probs(full_probs, plan, rng)
-    accepted = counts[:dim].astype(float)
-    n_acc = accepted.sum()
-    if n_acc == 0.0:
-        raise PostSelectionStarvedError("no shots survived ancilla post-selection")
-    kept = accepted[:n]
-    probs = kept / n_acc
-    return DilationResult(probs=probs, acceptance_rate=float(n_acc / plan.n_shots),
-                          record=counts)
+                              amplitudes=block[:, :n] / np.sqrt(acceptance)[:, None])
+    counts = sample_probs(full_probs, plan, rng_for)
+    accepted = counts[:, :dim].astype(float)
+    n_acc = accepted.sum(axis=-1)
+    starved = np.flatnonzero(n_acc == 0.0)
+    if len(starved):
+        raise PostSelectionStarvedError("no shots survived ancilla post-selection",
+                                        step_of(starved[0]))
+    return DilationResult(probs=accepted[:, :n] / n_acc[:, None],
+                          acceptance_rate=n_acc / plan.n_shots, record=counts)
+
+
+def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None,
+                     rng: np.random.Generator | None = None) -> DilationResult:
+    """The dilation circuit of one factor state: the stack of one of
+    `dilation_stack`, drawing from `rng`, and the specification that stacked
+    runs are tested against."""
+    out = dilation_stack(v0, [f], plan, None if rng is None else lambda _: rng)
+    return DilationResult(
+        probs=out.probs[0], acceptance_rate=float(out.acceptance_rate[0]),
+        amplitudes=None if out.amplitudes is None else out.amplitudes[0],
+        record=None if out.record is None else out.record[0])
 
 
 @dataclass(frozen=True)

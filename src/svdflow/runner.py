@@ -14,10 +14,11 @@ from .config import MODES, RunConfig, build_generator, config_as_dict
 from .errors import ConfigError, SvdFlowError
 from .odeflow import Generator, apply_step_products, seed_factors, step_products
 from .qsim import (
+    STREAM_BLOCK,
     NoiseSpec,
     QsvdState,
     ShotPlan,
-    dilation_circuit,
+    dilation_stack,
     qsvd_step,
     release_streams,
     stream_rng,
@@ -28,6 +29,11 @@ TRAJECTORY_COLUMNS = (
     "t", "P_D_ref", "P_A_ref", "P_D_qsvd", "P_A_qsvd", "sigma1",
     "ortho_err_U", "ortho_err_V", "sigma_mod_err", "acceptance_rate",
 )
+# Grid points whose dilation circuits run as one stack. It divides
+# STREAM_BLOCK, so the grid points of a stack share the block of stream seeds
+# that the step loop has cached when the stack runs.
+DILATION_STACK = 16
+assert STREAM_BLOCK % DILATION_STACK == 0
 
 
 def initial_state(dim: int) -> np.ndarray:
@@ -96,23 +102,12 @@ class QsvdRunResult:
     factors: list         # SvdFactors at every grid point
 
 
-def _record_row(cfg: RunConfig, plan: ShotPlan | None, step: int,
-                p_ref: np.ndarray, f: SvdFactors) -> list[float]:
-    """CSV row at grid index `step`; acceptance comes from the dilation
-    circuit when a measured run has it (its failures carry `step`), else
-    from Phi v0."""
+def _record_row(p_ref: np.ndarray, f: SvdFactors, dilated: bool) -> list[float]:
+    """CSV row at one grid point. The acceptance rate is NaN when it is left
+    to the dilation circuit (see `_dilation_column`), else read from Phi v0."""
     v0 = initial_state(f.dim)
     p_q = reconstruct_phi(f) @ v0
-    if cfg.dilation and plan is not None:
-        try:
-            acc = dilation_circuit(v0, f, plan, stream_rng(
-                cfg.rng_seed, f.dim, step, 3)).acceptance_rate
-        except SvdFlowError as exc:
-            if exc.step is None:
-                exc.step = step
-            raise
-    else:
-        acc = float(p_q @ p_q / f.sigma1**2)
+    acc = np.nan if dilated else float(p_q @ p_q / f.sigma1**2)
     eye = np.eye(f.dim)
     return [
         f.t, p_ref[0], p_ref[1], p_q[0], p_q[1], f.sigma1,
@@ -121,6 +116,17 @@ def _record_row(cfg: RunConfig, plan: ShotPlan | None, step: int,
         float(np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0))),
         acc,
     ]
+
+
+def _dilation_column(cfg: RunConfig, plan: ShotPlan, factors: list,
+                     steps: list[int]) -> np.ndarray:
+    """Acceptance rates of the dilation circuits at the grid points `steps`,
+    run as one stack; grid point k draws the stream (rng_seed, k, 3), and a
+    failure carries the grid point it belongs to."""
+    n = factors[0].dim
+    return dilation_stack(
+        initial_state(n), [factors[k] for k in steps], plan,
+        lambda i: stream_rng(cfg.rng_seed, n, steps[i], 3), steps).acceptance_rate
 
 
 def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
@@ -133,6 +139,13 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     is read here alone, as its ShotPlan: none for "exact", a noise-free one
     for "sampled", one with cfg.noise for "noisy" (`RunConfig.validate`
     rejects a nonzero cfg.noise in the other modes).
+
+    With cfg.dilation a measured run reads the acceptance column off the
+    dilation circuit. Grid point k's circuit is queued once the rest of its
+    row is built, and every DILATION_STACK queued grid points run as one
+    stacked circuit, each drawing the stream it would draw alone. When the
+    loop raises, the queued circuits run first: their grid points precede
+    the failure, so the earliest of their errors is raised in its place.
     Guard errors carry the step they tripped at.
     """
     t_start = time.perf_counter()
@@ -156,18 +169,40 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     ]
     factors = [f0]
     state = QsvdState.from_factors(f0)
+    dilated = cfg.dilation and plan is not None
+    rows, queue = [], []  # queue: grid points whose dilation has not run
+
+    def flush():
+        steps = queue.copy()
+        queue.clear()
+        if steps:
+            for k, acc in zip(steps, _dilation_column(cfg, plan, factors, steps)):
+                rows[k][-1] = float(acc)
+
+    def record(k):
+        rows.append(_record_row(ref_grid[k], factors[k], dilated))
+        if dilated:
+            queue.append(k)
+            if len(queue) == DILATION_STACK:
+                flush()
+
     try:
-        rows = [_record_row(cfg, plan, 0, ref_grid[0], f0)]
-        for i in range(cfg.n_steps):
-            state, snap = qsvd_step(
-                state, history, gen, h, plan, master_seed=cfg.rng_seed,
-                step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
-                tol_sat=cfg.tol_sat)
-            history = [history[1], snap]
-            f = state.to_factors()
-            rows.append(_record_row(cfg, plan, i + 1, ref_grid[i + 1], f))
-            factors.append(f)
+        try:
+            record(0)
+            for i in range(cfg.n_steps):
+                state, snap = qsvd_step(
+                    state, history, gen, h, plan, master_seed=cfg.rng_seed,
+                    step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
+                    tol_sat=cfg.tol_sat)
+                history = [history[1], snap]
+                factors.append(state.to_factors())
+                record(i + 1)
+            flush()
+        except SvdFlowError:
+            flush()
+            raise
     finally:
+        queue.clear()
         release_streams()
 
     table = np.array(rows)

@@ -55,8 +55,8 @@ def _checks():
         st = qsim.StateVec.from_amplitudes(np.array([0.6, 0.8]))
         plan = qsim.ShotPlan(10_000)
         probs = np.abs(st.amps) ** 2
-        a = qsim.sample_probs(probs, plan, np.random.default_rng(11))
-        b = qsim.sample_probs(probs, plan, np.random.default_rng(11))
+        a = qsim.sample_probs(probs, plan, lambda _: np.random.default_rng(11))
+        b = qsim.sample_probs(probs, plan, lambda _: np.random.default_rng(11))
         return np.array_equal(a, b)
 
     return [

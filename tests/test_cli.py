@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from svdflow import cli
 from svdflow.cli import _config_from_args, build_parser, main
 from svdflow.config import RunConfig, build_generator, load_config
 from svdflow.errors import ConfigError
@@ -248,6 +249,32 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "PostSelectionStarvedError"
         assert record["step"] == 5
+
+    @pytest.mark.parametrize("command,work", [("qsvd", "run_qsvd"),
+                                              ("reference", "compute_reference")])
+    def test_missing_output_directory_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, work):
+        def untouched(*args, **kwargs):
+            raise AssertionError(f"{work} called")
+
+        monkeypatch.setattr(cli, "run_qsvd", untouched)
+        monkeypatch.setattr(cli, "compute_reference", untouched)
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main([command, "--config", write_config(tmp_path), "--mode", "exact",
+                     "--out", out]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert out in record["message"]
+
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
+        # the path names a directory: opening it for writing fails
+        out = tmp_path / "taken.csv"
+        out.mkdir()
+        assert main(["qsvd", "--config", write_config(tmp_path), "--mode", "exact",
+                     "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert str(out) in record["message"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -156,3 +156,17 @@ class TestNearestOrthogonal:
     def test_rank_deficient(self):
         with pytest.raises(ProjectionUndefinedError):
             matcore.nearest_orthogonal(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_matches_polar_factor_of_signed_svd(self, n):
+        # the column signs of matcore.svd cancel in u @ v.T, bit for bit
+        rng = np.random.default_rng(40 + n)
+        for _ in range(50):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            m = q + 1e-3 * rng.standard_normal((n, n))
+            u, _, v = matcore.svd(m)
+            assert np.array_equal(matcore.nearest_orthogonal(m), u @ v.T)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidInputError):
+            matcore.nearest_orthogonal(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,11 @@ import pytest
 from conftest import random_factors
 from svdflow import matcore, qsim
 from svdflow.config import RunConfig, build_generator
-from svdflow.errors import InvalidGateError, InvalidInputError
+from svdflow.errors import (
+    InvalidGateError,
+    InvalidInputError,
+    PostSelectionStarvedError,
+)
 from svdflow.odeflow import Generator, seed_factors
 from svdflow.qsim import (
     NoiseSpec,
@@ -171,6 +176,48 @@ class TestApplyUnitary:
             qsim.circuit_probs(st, [(HAD, [0])], noise)
 
 
+class TestFixedGates:
+    """Cached constant gates are checked once, when they are built; every
+    other gate is checked on every application."""
+
+    def test_each_constant_checked_once(self, monkeypatch):
+        qsim._interferometer_gates.cache_clear()
+        qsim._ancilla_hadamard.cache_clear()
+        checked = []
+        defect = qsim._unitarity_defect
+        monkeypatch.setattr(qsim, "_unitarity_defect",
+                            lambda u: checked.append(u) or defect(u))
+        rng = np.random.default_rng(12)
+        f = random_factors(rng, 3)
+        plan = ShotPlan(1000, NoiseSpec(p1=1e-3, p2=1e-2))
+        for seed in range(3):
+            for p in (None, plan):
+                evolve_sigma_phase(np.array([0.0, 0.4, 1.1]), np.array([0.0, 0.3, -0.2]),
+                                   0.1, p, lambda j, w: derive_rng(seed, j, w))
+                dilation_circuit(initial_state(3), f, p, derive_rng(seed, 3))
+        constants = [*qsim._interferometer_gates(3, 4), qsim._ancilla_hadamard(4)]
+        for const in constants:
+            assert not const.flags.writeable
+            assert sum(u is const for u in checked) == 1
+        # the gates built per call are checked on every application
+        assert len(checked) > len(constants) + 10
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.1, p2=0.1)])
+    def test_changed_copy_of_a_constant_rejected(self, noise):
+        sdg, mix = qsim._interferometer_gates(3, 4)
+        st = StateVec.from_amplitudes([0.6, 0.0, 0.8, 0.0])
+        qsim.circuit_probs(st, [(sdg, None), (mix, None)], noise)
+        for const in (sdg, mix):
+            bad = const.copy()
+            bad[1, 0, 0] *= 1.01
+            with pytest.raises(InvalidGateError):
+                qsim.circuit_probs(st, [(bad, None)], noise)
+        had = qsim._ancilla_hadamard(2).copy()
+        had[0, 1] = np.nan
+        with pytest.raises(InvalidGateError):
+            qsim.circuit_probs(st, [(had, None)], noise)
+
+
 class TestStackedCircuits:
     @staticmethod
     def random_unitary(rng, dim):
@@ -244,30 +291,48 @@ class TestSample:
     def test_basis_state_no_noise(self):
         st = StateVec.from_amplitudes([0.0, 1.0])
         counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(1000),
-                              np.random.default_rng(0))
+                              lambda _: np.random.default_rng(0))
         assert counts[1] == 1000 and counts[0] == 0
 
     def test_uniform_superposition_binomial_error(self):
         st = StateVec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
         counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(10**6),
-                              np.random.default_rng(5))
+                              lambda _: np.random.default_rng(5))
         assert np.abs(counts / counts.sum() - 0.5).max() <= 3.0 * 5e-4
 
     def test_readout_flip_rate(self):
         st = StateVec.from_amplitudes([1.0, 0.0])
         counts = sample_probs(np.abs(st.amps) ** 2,
                               ShotPlan(10**6, NoiseSpec(p_ro=0.01)),
-                              np.random.default_rng(8))
+                              lambda _: np.random.default_rng(8))
         se = np.sqrt(0.01 * 0.99 / 10**6)
         assert abs(counts[1] / counts.sum() - 0.01) <= 3.0 * se
 
     def test_deterministic_per_seed(self):
         st = StateVec.from_amplitudes(np.array([0.6, 0.8]))
         a = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
-                         np.random.default_rng(2))
+                         lambda _: np.random.default_rng(2))
         b = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
-                         np.random.default_rng(2))
+                         lambda _: np.random.default_rng(2))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p_ro", [0.0, 0.013])
+    def test_stack_matches_per_member_draws(self, p_ro):
+        # one normalization and one readout mix for the whole stack, then
+        # member i of the flattened stack draws from its own stream, bit for
+        # bit as a single vector normalized, mixed and drawn on its own
+        rng = np.random.default_rng(17)
+        probs = rng.random((3, 2, 8)) ** 3
+        plan = ShotPlan(10**5, NoiseSpec(p_ro=p_ro))
+        counts = sample_probs(probs, plan, lambda i: derive_rng(4, 9, 2, i))
+        assert counts.shape == probs.shape
+        for i, q in enumerate(probs.reshape(-1, 8)):
+            q = q / q.sum()
+            if p_ro:
+                q = readout_confusion(3, p_ro) @ q
+                q = q / q.sum()
+            want = derive_rng(4, 9, 2, i).multinomial(plan.n_shots, q)
+            assert np.array_equal(counts.reshape(-1, 8)[i], want)
 
     def test_confusion_matrix_stochastic(self):
         c = readout_confusion(3, 0.02)
@@ -414,6 +479,55 @@ class TestDilation:
         assert qsim._ancilla_hadamard(4) is had
         with pytest.raises(ValueError):
             had[0, 0] = 1.0
+
+    @pytest.mark.parametrize("plan", [None, ShotPlan(10**4),
+                                      ShotPlan(10**4, NoiseSpec(1e-3, 1e-2, 1e-2))])
+    def test_stack_matches_dilation_circuit(self, plan):
+        # member i of a stack equals the circuit of its factors on its own,
+        # bit for bit, drawing the same stream; n = 3 pads the system
+        rng = np.random.default_rng(15)
+        factors = [random_factors(rng, 3) for _ in range(5)]
+        v0 = initial_state(3)
+        out = qsim.dilation_stack(v0, factors, plan, lambda i: derive_rng(2, i, 3))
+        for i, f in enumerate(factors):
+            one = dilation_circuit(v0, f, plan, derive_rng(2, i, 3))
+            assert np.array_equal(out.probs[i], one.probs)
+            assert out.acceptance_rate[i] == one.acceptance_rate
+            for field in ("amplitudes", "record"):
+                got, want = getattr(out, field), getattr(one, field)
+                assert (got is None and want is None) or np.array_equal(got[i], want)
+
+    def test_stack_errors_name_the_member_step(self):
+        rng = np.random.default_rng(16)
+        factors = [random_factors(rng, 2) for _ in range(4)]
+        v0, steps = initial_state(2), [32, 33, 34, 35]
+        # the first member whose own gate is not unitary
+        bent = dataclasses.replace(factors[2], u=factors[2].u * 1.001)
+        with pytest.raises(InvalidGateError) as excinfo:
+            qsim.dilation_stack(v0, [*factors[:2], bent, factors[3]], ShotPlan(100),
+                                lambda i: derive_rng(0, i), steps)
+        assert excinfo.value.step == 34
+        # the first member when only the norm over the stack exceeds the bound
+        near = [dataclasses.replace(f, v=f.v * (1 + 3e-12)) for f in factors] * 400
+        own = qsim._block_diagonal(near[0].v.T[None], 2)
+        assert np.linalg.norm(qsim._unitarity_defect(own)) <= qsim.UNITARY_TOL
+        with pytest.raises(InvalidGateError) as excinfo:
+            qsim.dilation_stack(v0, near, None, steps=list(range(7, 7 + len(near))))
+        assert excinfo.value.step == 7
+        # one shot per circuit: the first member that accepts none
+        members, steps = factors * 5, list(range(100, 120))
+        starved = []
+        for i, f in enumerate(members):
+            try:
+                dilation_circuit(v0, f, ShotPlan(1), derive_rng(5, i))
+            except PostSelectionStarvedError as exc:
+                assert exc.step is None
+                starved.append(i)
+        assert starved[0] > 0
+        with pytest.raises(PostSelectionStarvedError) as excinfo:
+            qsim.dilation_stack(v0, members, ShotPlan(1), lambda i: derive_rng(5, i),
+                                steps)
+        assert excinfo.value.step == steps[starved[0]]
 
     def test_plan_needs_rng(self):
         f = SvdFactors.from_svd(np.eye(2), np.ones(2), np.eye(2), 0.0)

@@ -5,9 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from svdflow import qsim
+from svdflow import qsim, runner
 from svdflow.config import RunConfig, build_generator
-from svdflow.errors import ConfigError
+from svdflow.errors import (
+    ConfigError,
+    PostSelectionStarvedError,
+    StepFailureError,
+    SvdFlowError,
+)
 from svdflow.odeflow import Generator, seed_factors
 from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit
 from svdflow.runner import initial_state, run_qsvd
@@ -94,7 +99,9 @@ def test_sampled_mode_rejects_configured_noise(small_cfg):
 
 @pytest.mark.parametrize("mode", ["sampled", "noisy"])
 def test_dilation_column_draws_the_derive_rng_stream(small_cfg, mode):
-    # grid point i draws derive_rng(rng_seed, i, 3); 70 steps cross a stream block
+    # grid point i draws derive_rng(rng_seed, i, 3), as its circuit would
+    # alone; the 71 grid points cross a stream block and end in a partial
+    # stack of 7
     noise = NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2) if mode == "noisy" else NoiseSpec()
     cfg = dataclasses.replace(measured_demo_cfg(small_cfg, n_steps=70), mode=mode,
                               noise=noise).validate()
@@ -114,3 +121,28 @@ def test_unknown_mode_is_a_config_error(small_cfg):
     with pytest.raises(ConfigError, match="bogus") as excinfo:
         run_qsvd(dataclasses.replace(small_cfg, mode="bogus"), Generator(2, untouched))
     assert excinfo.value.step is None
+
+
+# Earliest error: the dilations queued when the step loop raises run first,
+# and the earliest of their failures is raised instead. With one shot per
+# circuit and rng seed 8, grid point 5 is the first whose dilation keeps no
+# shot (tests/test_cli.py names the same step from the command line).
+
+@pytest.mark.parametrize("fail_at,shots,want", [
+    (8, 1, (PostSelectionStarvedError, 5)),    # starved dilation 5 still queued
+    (3, 1, (StepFailureError, 3)),             # the guard precedes grid point 5
+    (8, 10_000, (StepFailureError, 8)),        # no queued dilation fails
+])
+def test_earliest_error_wins(small_cfg, monkeypatch, fail_at, shots, want):
+    cfg = measured_demo_cfg(small_cfg, n_shots=shots, rng_seed=8)
+
+    def failing_step(state, *args, step_index, **kwargs):
+        if step_index == fail_at:
+            raise StepFailureError("planted guard", step_index)
+        return qsim.qsvd_step(state, *args, step_index=step_index, **kwargs)
+
+    monkeypatch.setattr(runner, "qsvd_step", failing_step)
+    with pytest.raises(SvdFlowError) as excinfo:
+        run_qsvd(cfg)
+    assert (type(excinfo.value), excinfo.value.step) == want
+    assert qsim._stream_block.cache_info().currsize == 0
