@@ -4,7 +4,6 @@ Subcommands:
   reference  - classical RK2 populations, CSV output
   qsvd       - factor-flow run (exact / sampled / noisy), CSV + JSON summary
   compare    - per-column deviation metrics between two trajectory CSVs
-  selftest   - quick invariant battery
 
 Exit codes: 0 ok, 2 config error, 3 numerical guard tripped,
 4 reconstruction failure.
@@ -19,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import selftest as selftest_mod
 from .config import MODES, build_generator, load_config
 from .errors import ConfigError, SvdFlowError
 from .runner import compute_reference, read_csv, run_qsvd, write_csv, write_json
@@ -53,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("file_a")
     cmp_p.add_argument("file_b")
     cmp_p.add_argument("--out", help="write metrics JSON here (default stdout)")
-
-    sub.add_parser("selftest", help="run the invariant battery")
     return parser
 
 
@@ -120,6 +116,8 @@ def cmd_qsvd(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     try:
         header_a, data_a = read_csv(args.file_a)
         header_b, data_b = read_csv(args.file_b)
@@ -154,12 +152,10 @@ def cmd_compare(args) -> int:
             "max_abs": float(np.abs(diff).max()),
             "rms": float(np.sqrt(np.mean(diff**2))),
         }
-    text = json.dumps(metrics, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(write_json, args.out, metrics)
     else:
-        print(text)
+        print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
 
@@ -170,7 +166,6 @@ def main(argv=None) -> int:
         "reference": cmd_reference,
         "qsvd": cmd_qsvd,
         "compare": cmd_compare,
-        "selftest": lambda a: selftest_mod.run(),
     }
     try:
         return handlers[args.command](args)

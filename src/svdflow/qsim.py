@@ -644,43 +644,11 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
         record=None if out.record is None else out.record[0])
 
 
-@dataclass(frozen=True)
-class QsvdState:
-    """Factor state of the step loop: U and V (measured rows carry their
-    tracked signs), the diagonal-unitary phases and the classically
-    integrated leading singular value. Phases lie in [0, pi], the range of
-    arg(tz + i sqrt(1 - tz^2)) that `sigma_plus` and the snapshot assume."""
-
-    u: np.ndarray
-    v: np.ndarray
-    phases: np.ndarray
-    sigma1: float
-    t: float
-
-    @classmethod
-    def from_factors(cls, f: SvdFactors) -> "QsvdState":
-        phases = np.arccos(np.clip(f.tilde, -1.0, 1.0))
-        phases[0] = 0.0
-        return cls(u=f.u.copy(), v=f.v.copy(), phases=phases,
-                   sigma1=f.sigma1, t=f.t)
-
-    @property
-    def tilde(self) -> np.ndarray:
-        tz = np.cos(self.phases)
-        tz[0] = 1.0
-        return tz
-
-    def to_factors(self) -> SvdFactors:
-        tz = self.tilde
-        return SvdFactors(u=self.u, v=self.v, sigma=tz * self.sigma1,
-                          sigma1=self.sigma1, tilde=tz, t=self.t)
-
-
-def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
+def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
               h: float, plan: ShotPlan | None = None, master_seed: int = 0,
               step_index: int = 0, project: bool = False,
               tol_degen: float = DEFAULT_TOL_DEGEN, tol_sat: float = DEFAULT_TOL_SAT
-              ) -> tuple[QsvdState, GeneratorSnapshot]:
+              ) -> tuple[SvdFactors, GeneratorSnapshot]:
     """One step of the factor flow, exact without a plan, else measured.
 
     Returns the advanced state together with the generator snapshot taken at
@@ -688,10 +656,11 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
     history). Without a plan U and V are updated as whole matrices, as
     `svdeom.step_factors` does, and `project` is ignored; with a plan every
     row and phase is measured under it, and `project` maps U and V onto the
-    nearest orthogonal matrices. New phases are folded back into [0, pi]: one
-    that crossed 0 would turn the next step's phase generator the wrong way.
+    nearest orthogonal matrices. The new state stores the cosines of the new
+    phases, so a phase that crossed 0 reads back in [0, pi] (`SvdFactors.phases`)
+    and does not turn the next step's phase generator the wrong way.
     """
-    n = len(state.phases)
+    n = state.dim
     try:
         snap = snapshot_from_arrays(state.u, state.tilde, a, state.t,
                                     tol_degen, tol_sat)
@@ -711,13 +680,13 @@ def qsvd_step(state: QsvdState, history: Sequence[GeneratorSnapshot], a,
             if project:
                 u_new = nearest_orthogonal(u_new)
                 v_new = nearest_orthogonal(v_new)
-        phases_new = np.abs(evolve_sigma_phase(
+        phases_new = evolve_sigma_phase(
             state.phases, l_mid, h, plan,
-            rng_factory=lambda j, w: stream_rng(master_seed, n, step_index, 2, j, w)))
+            rng_factory=lambda j, w: stream_rng(master_seed, n, step_index, 2, j, w))
         sigma1_new = state.sigma1 * float(np.exp(h * g11_mid))
     except SvdFlowError as exc:
         if exc.step is None:
             exc.step = step_index
         raise
-    return (QsvdState(u=u_new, v=v_new, phases=phases_new,
-                      sigma1=sigma1_new, t=state.t + h), snap)
+    return (SvdFactors(u=u_new, v=v_new, tilde=np.cos(phases_new),
+                       sigma1=sigma1_new, t=state.t + h), snap)

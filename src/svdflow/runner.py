@@ -16,14 +16,13 @@ from .odeflow import Generator, apply_step_products, seed_factors, step_products
 from .qsim import (
     STREAM_BLOCK,
     NoiseSpec,
-    QsvdState,
     ShotPlan,
     dilation_stack,
     qsvd_step,
     release_streams,
     stream_rng,
 )
-from .svdeom import SvdFactors, compute_snapshot, reconstruct_phi, sigma_plus
+from .svdeom import SvdFactors, reconstruct_phi, sigma_plus, snapshot_from_arrays
 
 TRAJECTORY_COLUMNS = (
     "t", "P_D_ref", "P_A_ref", "P_D_qsvd", "P_A_qsvd", "sigma1",
@@ -162,13 +161,9 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         reference = compute_reference(cfg, gen)
     ref_grid = reference.grid_states
 
-    f_m2, f_m1, f0 = seeds
-    history = [
-        compute_snapshot(f_m2, gen, cfg.tol_degen, cfg.tol_sat),
-        compute_snapshot(f_m1, gen, cfg.tol_degen, cfg.tol_sat),
-    ]
-    factors = [f0]
-    state = QsvdState.from_factors(f0)
+    history = [snapshot_from_arrays(f.u, f.tilde, gen, f.t, cfg.tol_degen, cfg.tol_sat)
+               for f in seeds[:2]]
+    factors = [seeds[2]]
     dilated = cfg.dilation and plan is not None
     rows, queue = [], []  # queue: grid points whose dilation has not run
 
@@ -191,11 +186,11 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
             record(0)
             for i in range(cfg.n_steps):
                 state, snap = qsvd_step(
-                    state, history, gen, h, plan, master_seed=cfg.rng_seed,
+                    factors[-1], history, gen, h, plan, master_seed=cfg.rng_seed,
                     step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
                     tol_sat=cfg.tol_sat)
                 history = [history[1], snap]
-                factors.append(state.to_factors())
+                factors.append(state)
                 record(i + 1)
             flush()
         except SvdFlowError:
@@ -238,7 +233,12 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Header and data of a CSV; ValueError when the data rows are not as
+    wide as the header."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size and data.shape[1] != len(header):
+        raise ValueError(f"{path}: {len(header)} header columns but "
+                         f"{data.shape[1]} data columns")
     return header, data

@@ -12,8 +12,13 @@ skew-symmetric, so U and V stay orthogonal under Cayley updates; the unit
 complex numbers sp_j = tz_j + i sqrt(1 - tz_j^2) evolve by per-entry Cayley
 factors of -i L, and sigma_1 obeys the scalar ODE sigma_1' = G_11 sigma_1.
 
-This module is the noise-free reference path; the emulated-measurement path
-in `qsim` consumes the same generator snapshots.
+`SvdFactors` is the one factor state: seeding returns it, `step_factors`
+here (the noise-free oracle) and `qsim.qsvd_step` (the step loop in every
+mode) take and return it, and the run tabulates it. It stores tz, not the
+phases arg(sp_j) = arccos(tz_j) that the device evolves: seeds, snapshots,
+the propagator rebuild and the dilation read tz, and cos(arccos(tz)) can
+differ from tz in the last bit. Both paths consume the same generator
+snapshots, built by `snapshot_from_arrays`.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_TOL_DEGEN = 1e-8
 DEFAULT_TOL_SAT = 1e-6
-ORTHO_TOL = 1e-9   # Frobenius bound on U^T U - I and V^T V - I in validate
 IMAG_TOL = 1e-12   # relative imaginary residue reconstruct_phi accepts
 
 # Three-point extrapolation to the step midpoint t + h/2 from samples at
@@ -46,16 +50,19 @@ MPEA_WEIGHTS = (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0)
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """SVD state of the propagator at one time.
+    """The factor state of the flow at one time, the one state every step
+    takes and returns.
 
-    tilde stores sigma / sigma_1 with tilde[0] == 1 exactly.
+    tilde stores sigma / sigma_1 with tilde[0] == 1 exactly; sigma and the
+    device phases are derived from it. The phases arccos(tilde) lie in
+    [0, pi], the range of arg(tz + i sqrt(1 - tz^2)), so a measured phase
+    stored as its cosine needs no separate fold.
     """
 
     u: np.ndarray
     v: np.ndarray
-    sigma: np.ndarray
-    sigma1: float
     tilde: np.ndarray
+    sigma1: float
     t: float
 
     @classmethod
@@ -64,25 +71,19 @@ class SvdFactors:
         tilde = s / s[0]
         tilde[0] = 1.0
         return cls(u=np.asarray(u, dtype=float), v=np.asarray(v, dtype=float),
-                   sigma=s, sigma1=float(s[0]), tilde=tilde, t=float(t))
+                   tilde=tilde, sigma1=float(s[0]), t=float(t))
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.tilde * self.sigma1
+
+    @property
+    def phases(self) -> np.ndarray:
+        return np.arccos(np.clip(self.tilde, -1.0, 1.0))
 
     @property
     def dim(self):
         return self.u.shape[0]
-
-    def validate(self):
-        n = self.dim
-        eye = np.eye(n)
-        if np.linalg.norm(self.u.T @ self.u - eye) > ORTHO_TOL:
-            raise InvalidInputError("U factor is not orthogonal")
-        if np.linalg.norm(self.v.T @ self.v - eye) > ORTHO_TOL:
-            raise InvalidInputError("V factor is not orthogonal")
-        if np.any(np.diff(self.sigma) > 0):
-            raise InvalidInputError("singular values are not descending")
-        if self.tilde[0] != 1.0:
-            raise InvalidInputError("tilde[0] must be exactly 1")
-        if np.any(self.tilde <= 0) or np.any(self.tilde > 1):
-            raise InvalidInputError("rescaled singular values must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,6 @@ def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
     return GeneratorSnapshot(g=g, z=z, w=w, lplus=lplus, t=float(t))
 
 
-def compute_snapshot(f: SvdFactors, a: "Generator", tol_degen=DEFAULT_TOL_DEGEN,
-                     tol_sat=DEFAULT_TOL_SAT) -> GeneratorSnapshot:
-    """Generator snapshot at f.t. The element formulas are invariant under
-    rescaling sigma -> sigma/sigma_1, which is applied internally."""
-    tilde = f.sigma / f.sigma[0]
-    tilde[0] = 1.0
-    return snapshot_from_arrays(f.u, tilde, a, f.t, tol_degen, tol_sat)
-
-
 def mpea(s_i, s_im1, s_im2):
     """Midpoint extrapolation from three consecutive uniform-step samples."""
     s_i = np.asarray(s_i)
@@ -185,8 +177,8 @@ def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
     from the pre-step factors; pass `snapshot` to reuse one already computed
     at f.t (callers keep it for the rolling history).
     """
-    snap = snapshot if snapshot is not None else compute_snapshot(
-        f, a, tol_degen, tol_sat)
+    snap = snapshot if snapshot is not None else snapshot_from_arrays(
+        f.u, f.tilde, a, f.t, tol_degen, tol_sat)
     z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
     u_new = f.u @ cayley(z_mid, h)
     v_new = f.v @ cayley(w_mid, h)
@@ -194,8 +186,8 @@ def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
     tilde_new = np.real(sp_new)
     tilde_new[0] = 1.0
     sigma1_new = f.sigma1 * float(np.exp(h * g11_mid))
-    return SvdFactors(u=u_new, v=v_new, sigma=tilde_new * sigma1_new,
-                      sigma1=sigma1_new, tilde=tilde_new, t=f.t + h)
+    return SvdFactors(u=u_new, v=v_new, tilde=tilde_new, sigma1=sigma1_new,
+                      t=f.t + h)
 
 
 def reconstruct_phi(f: SvdFactors) -> np.ndarray:

@@ -60,7 +60,6 @@ def small_cfg():
 
 def random_factors(rng, n):
     """Random well-separated SVD factors for property tests."""
-    from svdflow import matcore
     from svdflow.svdeom import SvdFactors
 
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -68,5 +67,4 @@ def random_factors(rng, n):
     tilde = np.sort(rng.uniform(0.05, 0.9, n))[::-1]
     tilde = np.concatenate([[1.0], tilde[1:]])
     sigma1 = rng.uniform(0.5, 2.0)
-    return SvdFactors(u=q1, v=q2, sigma=tilde * sigma1, sigma1=sigma1,
-                      tilde=tilde, t=0.0)
+    return SvdFactors(u=q1, v=q2, tilde=tilde, sigma1=sigma1, t=0.0)

@@ -20,7 +20,6 @@ from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit, evol
 from svdflow.runner import oracle_propagators, run_qsvd
 from svdflow.svdeom import (
     SvdFactors,
-    compute_snapshot,
     midpoint_generators,
     mpea,
     reconstruct_phi,
@@ -51,10 +50,10 @@ def test_criterion_2_factor_flow_fidelity(demo_cfg, demo_gen, demo_seeds,
     def terminal_and_max_gap(cfg, seeds, oracles):
         h = cfg.step_size
         f = seeds[2]
-        history = [compute_snapshot(x, demo_gen) for x in seeds[:2]]
+        history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t) for x in seeds[:2]]
         worst = 0.0
         for i in range(cfg.n_steps):
-            snap = compute_snapshot(f, demo_gen)
+            snap = snapshot_from_arrays(f.u, f.tilde, demo_gen, f.t)
             f = step_factors(f, history, demo_gen, h, snapshot=snap)
             history = [history[1], snap]
             gap = np.abs(reconstruct_phi(f) - oracles[i + 1]).max()
@@ -103,14 +102,14 @@ def test_criterion_3_dilation_brute_force():
 def test_criterion_4_structure_invariants(demo_cfg, demo_gen, demo_seeds):
     h = demo_cfg.step_size
     f = demo_seeds[2]
-    history = [compute_snapshot(x, demo_gen) for x in demo_seeds[:2]]
+    history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t) for x in demo_seeds[:2]]
     worst_ortho = 0.0
     worst_mod = 0.0
     eye = np.eye(f.dim)
     all_skew = True
     sp1_exact = True
     for _ in range(demo_cfg.n_steps):
-        snap = compute_snapshot(f, demo_gen)
+        snap = snapshot_from_arrays(f.u, f.tilde, demo_gen, f.t)
         z_mid, w_mid, _, _ = midpoint_generators(snap, history)
         all_skew &= np.array_equal(z_mid, -z_mid.T)
         all_skew &= np.array_equal(w_mid, -w_mid.T)

@@ -13,9 +13,11 @@ import inspect
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from svdflow.qsim import DilationResult, ShotPlan
+from svdflow.svdeom import reconstruct_phi
 
 LAYERS_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -60,3 +62,12 @@ def test_hooked_parameters_exist(layers, name, params):
 def test_hooked_result_fields_exist():
     assert {"record", "acceptance_rate"} <= {f.name for f in dataclasses.fields(DilationResult)}
     assert "n_shots" in {f.name for f in dataclasses.fields(ShotPlan)}
+
+
+def test_factor_fields_the_oracle_reads(demo_exact_run):
+    # perfbench/oracle.py rebuilds Phi as (f.u * f.sigma) @ f.v.T
+    for f in demo_exact_run.factors:
+        for name in ("u", "v", "sigma", "tilde", "sigma1"):
+            assert hasattr(f, name), name
+        phi = reconstruct_phi(f)
+        assert np.linalg.norm((f.u * f.sigma) @ f.v.T - phi) <= 1e-12 * np.linalg.norm(phi)

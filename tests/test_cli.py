@@ -85,11 +85,6 @@ class TestConfig:
 
 
 class TestCli:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out and "PASS" in out
-
     def test_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         ref = str(tmp_path / "ref.csv")
@@ -115,6 +110,33 @@ class TestCli:
         for key, val in metrics.items():
             if isinstance(val, dict):
                 assert val["max_abs"] == 0.0
+
+    @pytest.mark.parametrize("header,row", [("t,P_D_ref,P_A_ref", "0,1"),
+                                            ("t,P_D_ref", "0,1,0")])
+    def test_compare_rejects_rows_not_as_wide_as_the_header(
+            self, tmp_path, capsys, header, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{row}\n{row}\n")
+        assert main(["compare", str(bad), str(bad)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "malformed CSV" in record["message"]
+
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_compare_output_failure_is_a_config_error(self, tmp_path, capsys,
+                                                      missing):
+        # a missing directory is caught before the (absent) input is read; a
+        # path that names a directory fails when written
+        csv = tmp_path / "a.csv"
+        out = tmp_path / "missing" / "x.json"
+        if not missing:
+            csv.write_text("t,P_D_ref\n0,1\n")
+            out = tmp_path / "taken.json"
+            out.mkdir()
+        assert main(["compare", str(csv), str(csv), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert str(out) in record["message"]
 
     def test_sampled_run_columns_finite(self, tmp_path):
         cfg = write_config(tmp_path)

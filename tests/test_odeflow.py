@@ -153,7 +153,8 @@ class TestSeedFactors:
             assert np.isclose(f.t, t)
             assert f.sigma[0] >= f.sigma[1] > 0
             assert f.tilde[0] == 1.0
-            f.validate()
+            for q in (f.u, f.v):
+                assert np.linalg.norm(q.T @ q - np.eye(2)) <= 1e-9
 
     def test_diagonal_generator(self):
         gen = constant(np.diag([0.5, -0.3]))

@@ -15,7 +15,6 @@ from svdflow.errors import (
 from svdflow.odeflow import Generator, seed_factors
 from svdflow.qsim import (
     NoiseSpec,
-    QsvdState,
     ShotPlan,
     StateVec,
     apply_unitary,
@@ -33,7 +32,6 @@ from svdflow.qsim import (
 from svdflow.runner import initial_state
 from svdflow.svdeom import (
     SvdFactors,
-    compute_snapshot,
     midpoint_generators,
     reconstruct_phi,
     sigma_plus,
@@ -597,7 +595,8 @@ class TestDilation:
 
 class TestQsvdStep:
     def _setup(self, demo_gen, demo_seeds):
-        history = [compute_snapshot(x, demo_gen) for x in demo_seeds[:2]]
+        history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t)
+                   for x in demo_seeds[:2]]
         return demo_seeds[2], history
 
     def test_exact_mode_matches_step_factors(self, demo_cfg, demo_gen,
@@ -605,8 +604,7 @@ class TestQsvdStep:
         f, history = self._setup(demo_gen, demo_seeds)
         h = demo_cfg.step_size
         classical = step_factors(f, history, demo_gen, h)
-        state, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h)
-        emulated = state.to_factors()
+        emulated, _ = qsvd_step(f, history, demo_gen, h)
         assert np.abs(emulated.u - classical.u).max() <= 1e-10
         assert np.abs(emulated.v - classical.v).max() <= 1e-10
         assert np.abs(emulated.tilde - classical.tilde).max() <= 1e-10
@@ -614,32 +612,30 @@ class TestQsvdStep:
 
     def test_exact_mode_follows_step_factors_across_phase_crossing(self):
         # on this model a phase crosses 0 within the first steps; unless the
-        # phase is folded back into [0, pi], the emulated flow turns the
-        # wrong way there and leaves the oracle
+        # phase reads back in [0, pi] (the state stores its cosine), the
+        # emulated flow turns the wrong way there and leaves the oracle
         cfg = RunConfig(model_name="synthetic", model_params={"n": 2, "seed": 0},
                         t_seed=5.0, t_f=2000.0, n_steps=1000,
                         seed_substeps=2000).validate()
         gen = build_generator(cfg)
         h = cfg.step_size
         seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
-        history = [compute_snapshot(x, gen) for x in seeds[:2]]
-        f = seeds[2]
-        state = QsvdState.from_factors(f)
+        history = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in seeds[:2]]
+        f = state = seeds[2]
         for i in range(12):
-            snap = compute_snapshot(f, gen)
+            snap = snapshot_from_arrays(f.u, f.tilde, gen, f.t)
             f = step_factors(f, history, gen, h, snapshot=snap)
             state, _ = qsvd_step(state, history, gen, h, step_index=i)
             history = [history[1], snap]
             phi = reconstruct_phi(f)
-            gap = np.linalg.norm(reconstruct_phi(state.to_factors()) - phi)
+            gap = np.linalg.norm(reconstruct_phi(state) - phi)
             assert gap <= 1e-10 * np.linalg.norm(phi), f"step {i}"
 
     def test_sampled_row_error_scale(self, demo_cfg, demo_gen, demo_seeds):
         f, history = self._setup(demo_gen, demo_seeds)
         h = demo_cfg.step_size
         classical = step_factors(f, history, demo_gen, h)
-        state, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h,
-                             ShotPlan(10**6), master_seed=1234)
+        state, _ = qsvd_step(f, history, demo_gen, h, ShotPlan(10**6), master_seed=1234)
         gap = np.abs(state.u - classical.u).max()
         assert 0.0 < gap <= 1e-2  # binomial magnitude error at 1e6 shots
 
@@ -649,9 +645,9 @@ class TestQsvdStep:
         gen = Generator(dim=2, matrix=lambda t: np.zeros((2, 2)))
         u = np.array([[0.8, -0.6], [0.6, 0.8]])
         f = SvdFactors.from_svd(u, np.array([1.0, 0.5]), np.eye(2), 0.0)
-        snap = compute_snapshot(f, gen)
+        snap = snapshot_from_arrays(f.u, f.tilde, gen, f.t)
         history = [snap, snap]
-        state = QsvdState.from_factors(f)
+        state = f
         plan = ShotPlan(10**5)
         for i in range(400):
             state, snap = qsvd_step(state, history, gen, 0.1, plan,
@@ -671,8 +667,8 @@ class TestQsvdStep:
         gen = build_generator(cfg)
         h, seed, plan = cfg.step_size, 2**32 + 7, ShotPlan(10**4, noise)
         seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
-        history = [compute_snapshot(x, gen) for x in seeds[:2]]
-        state = QsvdState.from_factors(seeds[2])
+        history = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in seeds[:2]]
+        state = seeds[2]
         v0 = initial_state(3)
         for step in range(62, 66):
             new, snap = qsvd_step(state, history, gen, h, plan, master_seed=seed,
@@ -686,11 +682,10 @@ class TestQsvdStep:
                 assert np.array_equal(got, matcore.nearest_orthogonal(want))
             phases = evolve_sigma_phase(state.phases, l_mid, h, plan,
                                         lambda j, w: derive_rng(seed, step, 2, j, w))
-            assert np.array_equal(new.phases, np.abs(phases))
-            f = new.to_factors()
+            assert np.array_equal(new.tilde, np.cos(np.abs(phases)))
             assert np.array_equal(
-                dilation_circuit(v0, f, plan, qsim.stream_rng(seed, 3, step, 3)).record,
-                dilation_circuit(v0, f, plan, derive_rng(seed, step, 3)).record)
+                dilation_circuit(v0, new, plan, qsim.stream_rng(seed, 3, step, 3)).record,
+                dilation_circuit(v0, new, plan, derive_rng(seed, step, 3)).record)
             state, history = new, [history[1], snap]
 
     def test_deterministic(self, demo_cfg, demo_gen, demo_seeds):
@@ -698,8 +693,8 @@ class TestQsvdStep:
         h = demo_cfg.step_size
         kw = dict(plan=ShotPlan(10**4, NoiseSpec(1e-3, 1e-2, 1e-2)),
                   master_seed=5, step_index=3)
-        a, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h, **kw)
-        b, _ = qsvd_step(QsvdState.from_factors(f), history, demo_gen, h, **kw)
+        a, _ = qsvd_step(f, history, demo_gen, h, **kw)
+        b, _ = qsvd_step(f, history, demo_gen, h, **kw)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.phases, b.phases)
 

@@ -16,7 +16,7 @@ from svdflow.errors import (
 from svdflow.odeflow import Generator, seed_factors
 from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit
 from svdflow.runner import initial_state, run_qsvd
-from svdflow.svdeom import compute_snapshot, reconstruct_phi, step_factors
+from svdflow.svdeom import SvdFactors, reconstruct_phi, snapshot_from_arrays, step_factors
 
 
 def synthetic_cfg(n, **extra):
@@ -28,11 +28,11 @@ def synthetic_cfg(n, **extra):
 
 def step_factors_propagators(cfg, gen, seeds):
     """Propagators of a plain `step_factors` loop at every grid point."""
-    history = [compute_snapshot(x, gen) for x in seeds[:2]]
+    history = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in seeds[:2]]
     f = seeds[2]
     out = [reconstruct_phi(f)]
     for _ in range(cfg.n_steps):
-        snap = compute_snapshot(f, gen)
+        snap = snapshot_from_arrays(f.u, f.tilde, gen, f.t)
         f = step_factors(f, history, gen, cfg.step_size, snapshot=snap)
         history = [history[1], snap]
         out.append(reconstruct_phi(f))
@@ -68,6 +68,23 @@ def test_exact_run_ignores_project():
     for a, b in zip(plain.factors, projected.factors, strict=True):
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.tilde, b.tilde) and a.sigma1 == b.sigma1
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled", "noisy"])
+def test_every_grid_point_holds_the_one_factor_state(mode):
+    # n = 3 pads to 4 amplitudes on the device
+    noise = NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2) if mode == "noisy" else NoiseSpec()
+    cfg = dataclasses.replace(synthetic_cfg(3), mode=mode, noise=noise, n_shots=10**4,
+                              project=True).validate()
+    gen = build_generator(cfg)
+    seeds = seed_factors(gen, cfg.t_seed, cfg.step_size, nsub=cfg.seed_substeps)
+    result = run_qsvd(cfg, gen, seeds)
+    assert result.factors[0] is seeds[2]
+    assert len(result.factors) == cfg.n_steps + 1
+    for f in result.factors:
+        assert type(f) is SvdFactors
+        assert f.tilde[0] == 1.0
+        assert np.all((f.phases >= 0.0) & (f.phases <= np.pi))
 
 
 # The mode is read once, in run_qsvd: exact runs without a ShotPlan, sampled

@@ -14,7 +14,6 @@ from svdflow.models import DEFAULT_DEMO_MODEL, two_state_generator
 from svdflow.odeflow import Generator, propagator, seed_factors
 from svdflow.svdeom import (
     SvdFactors,
-    compute_snapshot,
     midpoint_generators,
     mpea,
     reconstruct_phi,
@@ -95,17 +94,6 @@ class TestSnapshot:
         assert np.array_equal(snap.w, -snap.w.T)
         assert snap.lplus[0] == 0.0
 
-    def test_compute_snapshot_rescales(self):
-        rng = np.random.default_rng(21)
-        f = random_factors(rng, 3)
-        gen = constant(rng.standard_normal((3, 3)))
-        scaled = SvdFactors(u=f.u, v=f.v, sigma=f.sigma * 5.0,
-                            sigma1=f.sigma1 * 5.0, tilde=f.tilde, t=f.t)
-        a = compute_snapshot(f, gen)
-        b = compute_snapshot(scaled, gen)
-        assert np.abs(a.z - b.z).max() <= 1e-12
-        assert np.abs(a.lplus - b.lplus).max() <= 1e-12
-
 
 class TestMpea:
     def test_constant_sequence(self):
@@ -161,7 +149,7 @@ class TestStepFactors:
         gen = constant(np.diag([alpha, beta]))
         h = 0.01
         f = seed_factors(gen, 1.0, h, nsub=4000)[-1]
-        hist = [compute_snapshot(x, gen) for x in
+        hist = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in
                 seed_factors(gen, 1.0, h, nsub=4000)[:2]]
         out = step_factors(f, hist, gen, h)
         assert np.abs(np.abs(out.u) - np.eye(2)).max() <= 1e-6
@@ -173,10 +161,11 @@ class TestStepFactors:
         # 400 steps of the factor flow against finely integrated propagators
         h = demo_cfg.step_size
         f = demo_seeds[2]
-        history = [compute_snapshot(x, demo_gen) for x in demo_seeds[:2]]
+        history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t)
+                   for x in demo_seeds[:2]]
         worst = 0.0
         for i in range(demo_cfg.n_steps):
-            snap = compute_snapshot(f, demo_gen)
+            snap = snapshot_from_arrays(f.u, f.tilde, demo_gen, f.t)
             f = step_factors(f, history, demo_gen, h, snapshot=snap)
             history = [history[1], snap]
             gap = np.abs(reconstruct_phi(f) - demo_oracles[i + 1]).max()
