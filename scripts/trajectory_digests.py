@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Fingerprint the trajectory CSVs of an rng-seed ensemble.
 
-    python scripts/trajectory_digests.py --config F --seed S --members K
+    python scripts/trajectory_digests.py --config F [--config G ...] --seed S --members K
+    python scripts/trajectory_digests.py --config scripts/identity/*.json --seed S --members K
 
-Runs `svdflow qsvd --config F --seed s` for the member seeds
-s = S + j * 1000003 (j = 0 .. K-1, the ensemble stride of perfbench) and
-prints one line per member: the seed and the sha256 of its trajectory CSV,
-or `ErrorClass@step` when the run stops on a guard. svdflow is imported
-from this checkout's src/, so running the script on two trees and diffing
-the outputs checks that a change keeps every trajectory byte for byte.
+Runs `svdflow qsvd --config F --seed s` for every config and the member
+seeds s = S + j * 1000003 (j = 0 .. K-1, the ensemble stride of perfbench)
+and prints one line per member: the config's file stem, the seed and the
+sha256 of its trajectory CSV, or `ErrorClass@step` when the run stops on a
+guard. svdflow is imported from this checkout's src/, so running the script
+on two trees and diffing the outputs checks that a change keeps every
+trajectory byte for byte. scripts/identity/ holds the configs of that check:
+the three perfbench workloads, synthetic n=5 sampled with dilation and
+project, the demo noisy with dilation and project, and the demo exact.
 """
 
 import argparse
@@ -41,14 +45,18 @@ def digest(config: str, seed: int, workdir: pathlib.Path) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--config", required=True, help="svdflow JSON config file")
+    parser.add_argument("--config", required=True, nargs="+", action="extend",
+                        help="svdflow JSON config files (repeatable)")
     parser.add_argument("--seed", type=int, required=True, help="seed of member 0")
     parser.add_argument("--members", type=int, default=1)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        for j in range(args.members):
-            seed = args.seed + j * MEMBER_STRIDE
-            print(f"{seed} {digest(args.config, seed, pathlib.Path(tmp))}", flush=True)
+        for config in args.config:
+            stem = pathlib.Path(config).stem
+            for j in range(args.members):
+                seed = args.seed + j * MEMBER_STRIDE
+                print(f"{stem} {seed} {digest(config, seed, pathlib.Path(tmp))}",
+                      flush=True)
     return 0
 
 

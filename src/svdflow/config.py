@@ -78,8 +78,11 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _TYPE_CHECKS.get(f.type, lambda v: True)(value):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.t_seed <= 0 or self.t_f <= self.t_seed:
-            raise ConfigError(f"need 0 < t_seed < t_f, got {self.t_seed}, {self.t_f}")
+        if not 0 < self.t_seed < self.t_f < float("inf"):  # NaN fails
+            raise ConfigError(f"need finite 0 < t_seed < t_f, got {self.t_seed}, {self.t_f}")
+        if not (0 < self.tol_degen < 1 and 0 < self.tol_sat < 1):
+            raise ConfigError(f"need 0 < tol_degen, tol_sat < 1, got {self.tol_degen}, "
+                              f"{self.tol_sat}")
         if self.n_steps < 3:
             raise ConfigError("n_steps must be >= 3 (extrapolation history)")
         if self.t_seed - 2 * self.step_size <= 0:

@@ -86,7 +86,10 @@ def synthetic_generator(n: int, seed: int, smoothness: float,
 
     def grid(ts):
         ts = np.asarray(ts, dtype=float)[:, None, None]
-        return a0 + smoothness * (a1 * np.sin(omega * ts) + a2 * np.exp(-ts / decay))
+        # the bytes of matrix(t), computed in place with fewer temporaries
+        out = a1 * np.sin(omega * ts)
+        out += a2 * np.exp(-ts / decay)
+        return np.add(a0, np.multiply(smoothness, out, out=out), out=out)
 
     return Generator(dim=n, matrix=matrix, grid=grid)
 

@@ -84,9 +84,10 @@ def propagator(a: Generator, t0: float, t1: float, nsteps: int,
 
 
 def _deviations(a: Generator, ts: np.ndarray, h: float) -> np.ndarray:
-    """D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t) for every substep start t."""
-    both = a.matrix_grid(np.concatenate([ts, ts + h / 2.0]))
-    start, mid = both[:len(ts)], both[len(ts):]
+    """D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t) for every substep start t.
+    A is sampled on two grids: in some heap layouts the temporaries of one
+    joint grid were refaulted on every chunk of a set-up."""
+    start, mid = a.matrix_grid(ts), a.matrix_grid(ts + h / 2.0)
     return h * mid + (h * h / 2.0) * (mid @ start)
 
 

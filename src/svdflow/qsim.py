@@ -6,12 +6,13 @@ of two with zero padding. Every gate is a full-register matrix, applied as
 one product (`u @ amps`, or `u @ rho @ u^dagger` on a density matrix);
 the qubit list that comes with a gate names only the qubits its
 depolarizing noise acts on. States (..., 2^n) and gates (B, 2^n, 2^n) may be
-stacks that broadcast, so the rows of a factor run as one circuit, so does
-each interferometer family, and so do the dilation circuits of several grid
-points (`dilation_stack`). `sample_probs` draws a whole stack of probability
-vectors in one pass. Every gate is checked for
-unitarity when it is applied, except the cached constant gates (S^dagger,
-mixing, ancilla Hadamard), which are checked once, when they are built.
+stacks that broadcast, so the rows of a stack of factors (U and V) run as
+one circuit, each under its own factor's gate, so does each interferometer
+family, and so do the dilation circuits of several grid points
+(`dilation_stack`). `sample_probs` draws a whole stack of probability vectors
+in one pass. Every gate is checked for unitarity when it is applied, by one
+norm over a stack, except the cached constant gates (S^dagger, mixing,
+ancilla Hadamard), which are checked once, when they are built.
 
 `qsvd_step`, the one step of the factor flow, and its circuits take an
 optional `ShotPlan`: the shots per circuit and the `NoiseSpec` (per-gate
@@ -208,12 +209,13 @@ def pad_dim(n: int) -> int:
 
 
 def embed_unitary(u: np.ndarray, dim: int) -> np.ndarray:
-    """Pad a unitary acting on the first len(u) basis states with identity."""
-    n = u.shape[0]
+    """Pad a unitary (or each of a stack) acting on the first n basis states
+    with identity."""
+    n = u.shape[-1]
     if n == dim:
         return u
-    out = np.eye(dim, dtype=complex)
-    out[:n, :n] = u
+    out = np.tile(np.eye(dim, dtype=complex), (*u.shape[:-2], 1, 1))
+    out[..., :n, :n] = u
     return out
 
 
@@ -419,24 +421,27 @@ def default_sign_floor(n_shots: int) -> float:
 
 def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
                   rng_factory: Callable[[int], np.random.Generator]) -> np.ndarray:
-    """Advance the rows (m, n) of an orthogonal factor under the transposed Cayley map.
+    """Advance the rows (..., m, n) of orthogonal factors under their
+    transposed Cayley maps (..., n, n): one factor, or a stack of them.
 
-    The rows are encoded as a stack of states, run as one circuit under the
-    plan's noise, drawn as one stack (row i from rng_factory(i)) and rebuilt as
-    sign * sqrt(p_hat). Each entry keeps its own sign unless its measured
-    magnitude falls below the sign floor; it then takes the sign of the
-    noise-free classical prediction.
+    The rows of every factor are encoded as one stack of states, run as one
+    circuit under the plan's noise, drawn as one stack (member i of the
+    flattened rows from rng_factory(i)) and rebuilt as sign * sqrt(p_hat).
+    Each entry keeps its own sign unless its measured magnitude falls below
+    the sign floor; it then takes the sign of the noise-free classical
+    prediction.
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[-1]
-    if cay_zt.shape != (n, n):
+    if cay_zt.shape != (*rows.shape[:-2], n, n):
         raise InvalidInputError("row/matrix dimension mismatch")
-    predicted = np.matvec(cay_zt, rows)
+    gate = cay_zt[..., None, :, :]  # one gate per factor, broadcast over its rows
+    predicted = np.matvec(gate, rows)
     states = StateVec.from_amplitudes(rows)
-    gate = embed_unitary(cay_zt.astype(complex), states.dim)
-    probs = circuit_probs(states, [(gate, None)], plan.noise)
-    p = sample_probs(probs, plan, rng_factory)[:, :n].astype(float)
-    total = p.sum(axis=1, keepdims=True)
+    probs = circuit_probs(states, [(embed_unitary(gate.astype(complex), states.dim),
+                                    None)], plan.noise)
+    p = sample_probs(probs, plan, rng_factory)[..., :n].astype(float)
+    total = p.sum(axis=-1, keepdims=True)
     if (total == 0.0).any():
         raise RowReconstructionError("all sampled row magnitudes are zero")
     mags = np.sqrt(p / total)
@@ -671,12 +676,9 @@ def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
             u_new = state.u @ cay_z
             v_new = state.v @ cay_w
         else:
-            u_new = propagate_row(
-                state.u, cay_z.T, plan,
-                lambda i: stream_rng(master_seed, n, step_index, 0, i))
-            v_new = propagate_row(
-                state.v, cay_w.T, plan,
-                lambda i: stream_rng(master_seed, n, step_index, 1, i))
+            u_new, v_new = propagate_row(
+                np.stack([state.u, state.v]), np.stack([cay_z.T, cay_w.T]), plan,
+                lambda i: stream_rng(master_seed, n, step_index, i // n, i % n))
             if project:
                 u_new = nearest_orthogonal(u_new)
                 v_new = nearest_orthogonal(v_new)

@@ -28,11 +28,11 @@ TRAJECTORY_COLUMNS = (
     "t", "P_D_ref", "P_A_ref", "P_D_qsvd", "P_A_qsvd", "sigma1",
     "ortho_err_U", "ortho_err_V", "sigma_mod_err", "acceptance_rate",
 )
-# Grid points whose dilation circuits run as one stack. It divides
-# STREAM_BLOCK, so the grid points of a stack share the block of stream seeds
-# that the step loop has cached when the stack runs.
-DILATION_STACK = 16
-assert STREAM_BLOCK % DILATION_STACK == 0
+# Grid points tabulated together, their dilation circuits as one stack. It
+# divides STREAM_BLOCK, so the grid points of a block share the block of
+# stream seeds that the step loop has cached when the block is tabulated.
+GRID_BLOCK = 16
+assert STREAM_BLOCK % GRID_BLOCK == 0
 
 
 def initial_state(dim: int) -> np.ndarray:
@@ -101,31 +101,29 @@ class QsvdRunResult:
     factors: list         # SvdFactors at every grid point
 
 
-def _record_row(p_ref: np.ndarray, f: SvdFactors, dilated: bool) -> list[float]:
-    """CSV row at one grid point. The acceptance rate is NaN when it is left
-    to the dilation circuit (see `_dilation_column`), else read from Phi v0."""
+def _tabulate(cfg: RunConfig, plan: ShotPlan | None, p_ref: np.ndarray,
+              block: list, steps: list[int]) -> np.ndarray:
+    """CSV rows of the factor states `block` at the grid points `steps`, in
+    one pass. With cfg.dilation a measured run reads the acceptance rates off
+    the block's dilation circuits, run as one stack (grid point k draws the
+    stream (rng_seed, k, 3) and a failure carries k), else off Phi v0.
+    Acceptance and orthogonality are reduced per point as 1-d dots with a
+    float sigma1**2, as a point alone reduces them, to keep every byte."""
+    f = SvdFactors(*(np.array([getattr(x, name) for x in block])
+                     for name in ("u", "v", "tilde", "sigma1", "t")))
     v0 = initial_state(f.dim)
     p_q = reconstruct_phi(f) @ v0
-    acc = np.nan if dilated else float(p_q @ p_q / f.sigma1**2)
-    eye = np.eye(f.dim)
-    return [
-        f.t, p_ref[0], p_ref[1], p_q[0], p_q[1], f.sigma1,
-        float(np.linalg.norm(f.u.T @ f.u - eye)),
-        float(np.linalg.norm(f.v.T @ f.v - eye)),
-        float(np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0))),
-        acc,
-    ]
-
-
-def _dilation_column(cfg: RunConfig, plan: ShotPlan, factors: list,
-                     steps: list[int]) -> np.ndarray:
-    """Acceptance rates of the dilation circuits at the grid points `steps`,
-    run as one stack; grid point k draws the stream (rng_seed, k, 3), and a
-    failure carries the grid point it belongs to."""
-    n = factors[0].dim
-    return dilation_stack(
-        initial_state(n), [factors[k] for k in steps], plan,
-        lambda i: stream_rng(cfg.rng_seed, n, steps[i], 3), steps).acceptance_rate
+    if cfg.dilation and plan is not None:
+        acc = dilation_stack(v0, block, plan, lambda i: stream_rng(
+            cfg.rng_seed, f.dim, steps[i], 3), steps).acceptance_rate
+    else:
+        acc = [p @ p / x.sigma1**2 for p, x in zip(p_q, block)]
+    uv = np.stack([f.u, f.v])
+    defects = (uv.mT @ uv - np.eye(f.dim)).reshape(2 * len(block), -1)
+    ortho = np.sqrt([d @ d for d in defects]).reshape(2, -1)
+    sigma_err = np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0), axis=-1)
+    return np.column_stack([f.t, p_ref[:, :2], p_q[:, :2], f.sigma1, *ortho,
+                            sigma_err, acc])
 
 
 def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
@@ -139,13 +137,13 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     for "sampled", one with cfg.noise for "noisy" (`RunConfig.validate`
     rejects a nonzero cfg.noise in the other modes).
 
-    With cfg.dilation a measured run reads the acceptance column off the
-    dilation circuit. Grid point k's circuit is queued once the rest of its
-    row is built, and every DILATION_STACK queued grid points run as one
-    stacked circuit, each drawing the stream it would draw alone. When the
-    loop raises, the queued circuits run first: their grid points precede
-    the failure, so the earliest of their errors is raised in its place.
-    Guard errors carry the step they tripped at.
+    Grid points are tabulated in blocks of GRID_BLOCK (`_tabulate`): grid
+    point k is queued once the loop has built its factor state, and every
+    GRID_BLOCK queued points get their rows, dilation circuits included, in
+    one stacked pass, each circuit drawing the stream it would draw alone.
+    When the loop raises, the queued block is tabulated first: its grid
+    points precede the failure, so the earliest of its errors is raised in
+    its place. Guard errors carry the step they tripped at.
     """
     t_start = time.perf_counter()
     if cfg.mode not in MODES:
@@ -164,22 +162,19 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     history = [snapshot_from_arrays(f.u, f.tilde, gen, f.t, cfg.tol_degen, cfg.tol_sat)
                for f in seeds[:2]]
     factors = [seeds[2]]
-    dilated = cfg.dilation and plan is not None
-    rows, queue = [], []  # queue: grid points whose dilation has not run
+    blocks, queue = [], []  # queue: grid points not yet tabulated
 
     def flush():
         steps = queue.copy()
         queue.clear()
         if steps:
-            for k, acc in zip(steps, _dilation_column(cfg, plan, factors, steps)):
-                rows[k][-1] = float(acc)
+            blocks.append(_tabulate(cfg, plan, ref_grid[steps],
+                                    [factors[k] for k in steps], steps))
 
     def record(k):
-        rows.append(_record_row(ref_grid[k], factors[k], dilated))
-        if dilated:
-            queue.append(k)
-            if len(queue) == DILATION_STACK:
-                flush()
+        queue.append(k)
+        if len(queue) == GRID_BLOCK:
+            flush()
 
     try:
         try:
@@ -200,7 +195,7 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         queue.clear()
         release_streams()
 
-    table = np.array(rows)
+    table = np.concatenate(blocks)
     dpd = np.abs(table[:, 3] - table[:, 1])
     dpa = np.abs(table[:, 4] - table[:, 2])
     summary = {

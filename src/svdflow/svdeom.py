@@ -23,6 +23,7 @@ snapshots, built by `snapshot_from_arrays`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -83,7 +84,7 @@ class SvdFactors:
 
     @property
     def dim(self):
-        return self.u.shape[0]
+        return self.u.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,26 @@ def sigma_plus(tilde: np.ndarray) -> np.ndarray:
     return tilde + 1j * np.sqrt(np.clip(1.0 - tilde**2, 0.0, None))
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), built once per n and returned read-only."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
                          tol_sat=DEFAULT_TOL_SAT) -> GeneratorSnapshot:
     """Build the generator snapshot from raw factor arrays.
 
     Accepts tilde values outside (0, 1] (the emulated-measurement path can
-    produce them under noise); only degeneracy and saturation are guarded.
+    produce them under noise); only degeneracy and saturation are guarded,
+    degeneracy also as tz_j = -tz_k, where the generators divide by zero.
     """
     u = np.asarray(u, dtype=float)
     tilde = np.asarray(tilde, dtype=float)
-    n = len(tilde)
-    gaps = np.abs(tilde[:, None] - tilde[None, :])[np.triu_indices(n, k=1)]
+    upper = _upper_pairs(len(tilde))
+    gaps = np.abs(tilde[:, None] - tilde[None, :])[upper]
     if gaps.size and gaps.min() < tol_degen:
         raise DegenerateSingularValuesError(
             f"singular-value gap {gaps.min():.3e} below tolerance {tol_degen:.3e} "
@@ -124,9 +134,12 @@ def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
             f"rescaled singular value within {tol_sat:.1e} of 1 at t={t:g}; "
             "the phase generator is ill-conditioned"
         )
-    g = u.T @ a(t) @ u
     t2 = tilde**2
     den = t2[None, :] - t2[:, None]
+    if not den[upper].all():
+        raise DegenerateSingularValuesError(
+            f"rescaled singular values of equal modulus at t={t:g}")
+    g = u.T @ a(t) @ u
     np.fill_diagonal(den, 1.0)
     z = (t2[None, :] * g + t2[:, None] * g.T) / den
     w = (np.outer(tilde, tilde) * (g.T + g)) / den
@@ -191,17 +204,20 @@ def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
 
 
 def reconstruct_phi(f: SvdFactors) -> np.ndarray:
-    """Rebuild the propagator (sigma1/2) U (Sp + conj(Sp)) V^T as a real matrix.
+    """Rebuild the propagator (sigma1/2) U (Sp + conj(Sp)) V^T as a real matrix,
+    or one per grid point when the fields carry a leading block axis.
 
     The conjugate pair sums to 2 diag(tilde), so the imaginary residue is a
     pure consistency check.
     """
     sp = sigma_plus(f.tilde)
-    phi = (f.sigma1 / 2.0) * (f.u @ np.diag(sp + np.conj(sp)) @ f.v.T)
-    resid = np.abs(phi.imag).max()
-    scale = max(1.0, np.abs(phi.real).max())
-    if resid > IMAG_TOL * scale:
+    diag = np.zeros((*sp.shape, sp.shape[-1]), dtype=complex)
+    diag[..., range(f.dim), range(f.dim)] = sp + np.conj(sp)
+    phi = (np.asarray(f.sigma1)[..., None, None] / 2.0) * (f.u @ diag @ f.v.mT)
+    resid = np.abs(phi.imag).max(axis=(-2, -1))
+    scale = np.fmax(1.0, np.abs(phi.real).max(axis=(-2, -1)))
+    if (resid > IMAG_TOL * scale).any():
         raise InconsistencyError(
-            f"imaginary residue {resid:.3e} above tolerance in propagator rebuild"
+            f"imaginary residue {resid.max():.3e} above tolerance in propagator rebuild"
         )
     return phi.real

@@ -170,6 +170,15 @@ class TestCli:
         {"sign_floor": 0.01},
         {"model": {"name": "synthetic", "params": {"n": 2, "seed": -1}}},
         {"rng_seed": -5, "mode": "sampled"},
+        # non-finite times and out-of-range guard tolerances: each escaped
+        # validation, as a traceback (exit 1), a guard switched off (exit 0)
+        # or a guard firing at t=0.25 (exit 3)
+        {"t_seed": float("nan")},
+        {"t_f": float("nan")},
+        {"tol_degen": float("nan")},
+        {"tol_degen": -1},
+        {"tol_sat": float("nan")},
+        {"tol_sat": 2.0},
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, extra)

@@ -8,6 +8,7 @@ from conftest import random_factors
 from svdflow import matcore, qsim
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import (
+    DegenerateSingularValuesError,
     InvalidGateError,
     InvalidInputError,
     PostSelectionStarvedError,
@@ -394,6 +395,46 @@ class TestPropagateRow:
             assert np.array_equal(stacked[i], single[0])
 
 
+class TestStackedKernels:
+    """A stack of factors runs as one call, bit for bit as one call each."""
+
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec(), NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)], ids=["sampled", "noisy"])
+    def test_factor_stack_matches_one_factor_calls(self, noise):
+        # n = 3 pads to 4 amplitudes; the gates are transposed views, as the
+        # step hands them over
+        rng = np.random.default_rng(23)
+        rows = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)])
+        cays = [matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2)
+                for _ in range(2)]
+        plan = ShotPlan(10**4, noise)
+        stacked = propagate_row(rows, np.stack([c.T for c in cays]), plan,
+                                lambda i: derive_rng(8, i // 3, i % 3))
+        for k in range(2):
+            single = propagate_row(rows[k], cays[k].T, plan,
+                                   lambda i: derive_rng(8, k, i))
+            assert np.array_equal(stacked[k], single)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (2, 4, 4), (3, 3, 3)])
+    def test_gate_stack_of_the_wrong_shape_rejected(self, shape):
+        rows = np.stack([np.eye(3)] * 2)
+        gates = np.broadcast_to(np.eye(shape[-1]), shape)
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            propagate_row(rows, gates, ShotPlan(100), lambda i: derive_rng(0, i))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_stacked_reconstruct_phi_matches_per_point_calls(self, n):
+        rng = np.random.default_rng(n)
+        points = [random_factors(rng, n) for _ in range(5)]
+        block = SvdFactors(*(np.array([getattr(f, name) for f in points])
+                             for name in ("u", "v", "tilde", "sigma1", "t")))
+        assert block.dim == n
+        phi = reconstruct_phi(block)
+        assert phi.shape == (5, n, n)
+        for k, f in enumerate(points):
+            assert np.array_equal(phi[k], reconstruct_phi(f))
+
+
 class TestEvolveSigmaPhase:
     def test_zero_generator_exact(self):
         phases = np.array([0.0, 0.7, -1.2])
@@ -687,6 +728,18 @@ class TestQsvdStep:
                 dilation_circuit(v0, new, plan, qsim.stream_rng(seed, 3, step, 3)).record,
                 dilation_circuit(v0, new, plan, derive_rng(seed, step, 3)).record)
             state, history = new, [history[1], snap]
+
+    @pytest.mark.parametrize("plan", [None, ShotPlan(100)], ids=["exact", "sampled"])
+    def test_equal_modulus_is_a_degeneracy_at_its_step(self, plan):
+        # tz = (1, 0.3, -0.3): the generators divide by 0.3^2 - (-0.3)^2 = 0;
+        # this used to stop in cayley on NaN as an InvalidInputError (exit 2)
+        gen = Generator(dim=3, matrix=lambda t: np.arange(9.0).reshape(3, 3))
+        f = SvdFactors.from_svd(np.eye(3), np.array([1.0, 0.3, -0.3]), np.eye(3), 0.0)
+        snap = snapshot_from_arrays(np.eye(3), np.array([1.0, 0.5, 0.2]), gen, 0.0)
+        with pytest.raises(DegenerateSingularValuesError) as excinfo:
+            qsvd_step(f, [snap, snap], gen, 0.1, plan, step_index=7)
+        assert excinfo.value.step == 7
+        assert excinfo.value.exit_code == 3
 
     def test_deterministic(self, demo_cfg, demo_gen, demo_seeds):
         f, history = self._setup(demo_gen, demo_seeds)

@@ -15,8 +15,14 @@ from svdflow.errors import (
 )
 from svdflow.odeflow import Generator, seed_factors
 from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit
-from svdflow.runner import initial_state, run_qsvd
-from svdflow.svdeom import SvdFactors, reconstruct_phi, snapshot_from_arrays, step_factors
+from svdflow.runner import GRID_BLOCK, compute_reference, initial_state, run_qsvd
+from svdflow.svdeom import (
+    SvdFactors,
+    reconstruct_phi,
+    sigma_plus,
+    snapshot_from_arrays,
+    step_factors,
+)
 
 
 def synthetic_cfg(n, **extra):
@@ -85,6 +91,56 @@ def test_every_grid_point_holds_the_one_factor_state(mode):
         assert type(f) is SvdFactors
         assert f.tilde[0] == 1.0
         assert np.all((f.phases >= 0.0) & (f.phases <= np.pi))
+
+
+def record_row_oracle(p_ref, f, dilated):
+    """The CSV row of one grid point, as it was built before grid points were
+    tabulated in blocks: the specification of `runner._tabulate`. The
+    acceptance rate is NaN when it is left to the dilation circuit."""
+    v0 = initial_state(f.dim)
+    p_q = reconstruct_phi(f) @ v0
+    acc = np.nan if dilated else float(p_q @ p_q / f.sigma1**2)
+    eye = np.eye(f.dim)
+    return [
+        f.t, p_ref[0], p_ref[1], p_q[0], p_q[1], f.sigma1,
+        float(np.linalg.norm(f.u.T @ f.u - eye)),
+        float(np.linalg.norm(f.v.T @ f.v - eye)),
+        float(np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0))),
+        acc,
+    ]
+
+
+NOISE = NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)
+
+
+# Every row of a block-tabulated run, bit for bit as the per-point record.
+# Demo exact row 246 is where an array power sigma1**2 differs from the
+# per-point float power in the last bit. 401 and 41 grid points end in a
+# partial block; the dilated run's 48 in a full one.
+@pytest.mark.parametrize("case", ["demo_exact", "n8_exact", "n3_noisy",
+                                  "n3_sampled_dilation"])
+def test_block_record_matches_the_per_point_record(request, case):
+    if case == "demo_exact":
+        cfg = request.getfixturevalue("demo_cfg")
+        result = request.getfixturevalue("demo_exact_run")
+        ref = request.getfixturevalue("demo_reference")
+    else:
+        cfg = {"n8_exact": lambda: synthetic_cfg(8),
+               "n3_noisy": lambda: synthetic_cfg(3, mode="noisy", noise=NOISE,
+                                                 n_shots=10**4),
+               "n3_sampled_dilation": lambda: dataclasses.replace(synthetic_cfg(
+                   3, mode="sampled", n_shots=10**4, project=True, dilation=True),
+                   n_steps=47, t_f=1.235).validate()}[case]()
+        result, ref = run_qsvd(cfg), compute_reference(cfg)
+    dilated = cfg.dilation and cfg.mode != "exact"
+    assert (len(result.rows) % GRID_BLOCK == 0) == dilated
+    plan = ShotPlan(cfg.n_shots, cfg.noise)
+    for k, (row, f) in enumerate(zip(result.rows, result.factors, strict=True)):
+        want = record_row_oracle(ref.grid_states[k], f, dilated)
+        if dilated:
+            want[-1] = dilation_circuit(initial_state(f.dim), f, plan,
+                                        derive_rng(cfg.rng_seed, k, 3)).acceptance_rate
+        assert np.array_equal(row, want), k
 
 
 # The mode is read once, in run_qsvd: exact runs without a ShotPlan, sampled
