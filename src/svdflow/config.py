@@ -34,6 +34,7 @@ from .errors import ConfigError, InvalidInputError
 from .models import DEFAULT_DEMO_MODEL, RateChannel, RateModel, synthetic_generator, two_state_generator
 from .odeflow import Generator
 from .qsim import NoiseSpec
+from .svdeom import DEFAULT_TOL_DEGEN, DEFAULT_TOL_SAT
 
 MODES = ("exact", "sampled", "noisy")  # run_qsvd maps each to a ShotPlan
 
@@ -64,8 +65,8 @@ class RunConfig:
     rng_seed: int = 1234
     seed_substeps: int = 100_000
     ref_refine: int = 50
-    tol_degen: float = 1e-8
-    tol_sat: float = 1e-6
+    tol_degen: float = DEFAULT_TOL_DEGEN
+    tol_sat: float = DEFAULT_TOL_SAT
     project: bool = False
     dilation: bool = False
 

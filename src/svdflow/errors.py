@@ -66,6 +66,3 @@ class PhaseReconstructionError(ReconstructionError):
 class PostSelectionStarvedError(ReconstructionError):
     """No shots survived ancilla post-selection."""
 
-
-class InconsistencyError(ReconstructionError):
-    """Internal consistency check failed (e.g. imaginary residue above tolerance)."""
