@@ -8,7 +8,7 @@ Runs `svdflow qsvd --config F --seed s` for every config and the member
 seeds s = S + j * 1000003 (j = 0 .. K-1, the ensemble stride of perfbench)
 and prints one line per member: the config's file stem, the seed and the
 sha256 of its trajectory CSV, or `ErrorClass@step` when the run stops on a
-guard. svdflow is imported from this checkout's src/, so running the script
+guard. Each config ends with a line `STEM members=K failed=F`. svdflow is imported from this checkout's src/, so running the script
 on two trees and diffing the outputs checks that a change keeps every
 trajectory byte for byte. scripts/identity/ holds the configs of that check:
 the three perfbench workloads, synthetic n=5 sampled with dilation and
@@ -43,20 +43,23 @@ def digest(config: str, seed: int, workdir: pathlib.Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", required=True, nargs="+", action="extend",
                         help="svdflow JSON config files (repeatable)")
     parser.add_argument("--seed", type=int, required=True, help="seed of member 0")
     parser.add_argument("--members", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for config in args.config:
             stem = pathlib.Path(config).stem
+            failed = 0
             for j in range(args.members):
                 seed = args.seed + j * MEMBER_STRIDE
-                print(f"{stem} {seed} {digest(config, seed, pathlib.Path(tmp))}",
-                      flush=True)
+                outcome = digest(config, seed, pathlib.Path(tmp))
+                failed += "@" in outcome
+                print(f"{stem} {seed} {outcome}", flush=True)
+            print(f"{stem} members={args.members} failed={failed}", flush=True)
     return 0
 
 

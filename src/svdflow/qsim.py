@@ -27,16 +27,13 @@ distribution is identical in distribution to running every shot as its own
 independent noisy execution - the granularity at which hardware repeats a
 circuit. `apply_unitary` is the noise-free statevector gate.
 
-Determinism: every stochastic sub-task draws from its own RNG stream,
-PCG64 seeded by numpy's SeedSequence([master_seed, step_index, task_kind,
-...]), so runs with identical configurations are bit-identical regardless
-of evaluation order. `derive_rng` builds one such stream and is the
-specification; the step loop gets the same streams from `stream_rng`, which
-hashes the seeds of every stream of a block of STREAM_BLOCK steps in one
-vectorized pass and sets each into one reused generator. Stacking keeps
-every stream: each member of a drawn stack reseeds from its own stream
-before its own multinomial draw, so the counts are those of its circuit run
-alone.
+Determinism: the only randomness is the multinomial draw of each measured
+circuit's shots. Step i of a measured run draws everything from one stream,
+`derive_rng(master_seed, i)`, in a fixed order: the row stack (rows 0..n-1 of
+U, then of V), then the phase stack (j = 1..n-1, cos before sin). Grid point
+k's dilation circuit draws from its own stream, `derive_rng(master_seed, k,
+3)`, so its counts do not depend on the grid points stacked with it. Runs
+with identical configurations are therefore bit-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,134 +68,10 @@ CONTRAST_FLOOR = 0.5  # least cos^2 + sin^2 a measured phase estimate accepts
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Deterministic per-task RNG from the master seed and an integer path."""
+    """PCG64 seeded by numpy's SeedSequence([master_seed, *path]). numpy pads
+    entropy shorter than four words with zeros, so derive_rng(s, i) is the
+    same stream as derive_rng(s, i, 0) and derive_rng(s, i, 0, 0)."""
     return np.random.default_rng([int(master_seed), *map(int, path)])
-
-
-# SeedSequence's hash constants (numpy.random.bit_generator), the multiplier
-# of PCG64's 128-bit LCG, and the steps whose streams are derived together.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-STREAM_BLOCK = 64
-
-
-def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult^k mod 2^32 for k < count: a SeedSequence hash's constants."""
-    out = np.empty(count, dtype=np.uint32)
-    for k in range(count):
-        out[k] = init
-        init = init * mult & 0xFFFFFFFF
-    return out
-
-
-def _int_words(value: int) -> list[int]:
-    """A non-negative int as numpy coerces entropy: little-endian uint32
-    words, [0] for 0."""
-    if value < 0:
-        raise InvalidInputError(f"rng seed must be >= 0, got {value}")
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(row).generate_state(4, np.uint64) for every row of a
-    (K, L) uint32 array of entropy words, in one pass over the K rows.
-
-    The four-word pool takes the hashmix of the first four words (of zeros
-    past the end), mixes every pool word into every other, and then absorbs
-    each word past the fourth into every pool word; the output hash cycles
-    the pool into eight uint32 words, read as four little-endian uint64.
-    """
-    k, length = entropy.shape
-    n_hashmix = _POOL_SIZE**2 + max(length - _POOL_SIZE, 0) * _POOL_SIZE
-    chain = _hash_chain(_INIT_A, _MULT_A, n_hashmix + 1)
-    consts = iter(zip(chain[:-1], chain[1:]))
-
-    def hashmix(value):
-        xor, mult = next(consts)
-        value = (value ^ xor) * mult
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return out ^ (out >> 16)
-
-    zeros = np.zeros(k, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    chain = _hash_chain(_INIT_B, _MULT_B, 9)
-    out = (np.stack(pool * 2, axis=-1) ^ chain[:-1]) * chain[1:]
-    out ^= out >> 16
-    return out.view(np.uint64)
-
-
-def _grid_words(seed: list[int], *axes: Sequence[int]) -> np.ndarray:
-    """Seed words (*map(len, axes), 4) of the streams [seed, a0, a1, ...]
-    for every point of the grid of the axes."""
-    grid = np.stack(np.meshgrid(*map(np.asarray, axes), indexing="ij"), axis=-1)
-    assert 0 <= grid.min() and grid.max() <= 0xFFFFFFFF  # one word per entry
-    lead = grid.shape[:-1]
-    entropy = np.concatenate(
-        [np.broadcast_to(np.asarray(seed), (*lead, len(seed))), grid], axis=-1)
-    return _seed_words(entropy.reshape(-1, entropy.shape[-1]).astype(np.uint32)
-                       ).reshape(*lead, 4)
-
-
-@functools.lru_cache(maxsize=1)
-def _stream_block(master_seed: int, block: int, n: int) -> tuple[np.ndarray, ...]:
-    """Seed words of every stream of the STREAM_BLOCK steps from block *
-    STREAM_BLOCK on in an n-state flow, one uint64 array per task kind,
-    indexed [step % STREAM_BLOCK, *index, word]: rows i of U (kind 0) and V
-    (kind 1), phase interferometers (j, w) (kind 2) and the dilation (kind 3)."""
-    seed = _int_words(master_seed)
-    steps = range(block * STREAM_BLOCK, (block + 1) * STREAM_BLOCK)
-    rows = _grid_words(seed, steps, (0, 1), range(n))
-    phases = _grid_words(seed, steps, (2,), range(n), (0, 1))
-    dilation = _grid_words(seed, steps, (3,))
-    return rows[:, 0], rows[:, 1], phases[:, 0], dilation[:, 0]
-
-
-def release_streams() -> None:
-    """Drop the cached block of stream seeds. A solve calls this when it
-    ends, so that no allocation of the solve outlives it: a block left live
-    on the heap can make the next set-up's temporaries grow and trim the
-    heap top on every chunk."""
-    _stream_block.cache_clear()
-
-
-_STREAM_RNG = np.random.Generator(np.random.PCG64(0))
-
-
-def stream_rng(master_seed: int, n: int, step: int, kind: int,
-               *index: int) -> np.random.Generator:
-    """The generator derive_rng(master_seed, step, kind, *index) builds, for
-    a task of an n-state step (see `_stream_block`), at a fraction of its cost.
-
-    PCG64 seeded with words (s0, s1, i0, i1) starts at inc = 2 (i0:i1) + 1
-    and state = ((inc + (s0:s1)) * M + inc) mod 2^128. The state is set into
-    one reused generator, so each call reseeds the generator the previous
-    call returned: draw from it before the next call.
-    """
-    words = _stream_block(master_seed, step // STREAM_BLOCK, n)[kind]
-    s0, s1, i0, i1 = words[(step % STREAM_BLOCK, *index)].tolist()
-    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-    _STREAM_RNG.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-        "has_uint32": 0, "uinteger": 0}
-    return _STREAM_RNG
 
 
 def pad_dim(n: int) -> int:
@@ -390,23 +263,21 @@ def readout_confusion(n_qubits: int, p_ro: float) -> np.ndarray:
 
 
 def sample_probs(probs: np.ndarray, plan: ShotPlan,
-                 rng_for: Callable[[int], np.random.Generator]) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Counts (..., 2^n) of plan.n_shots draws from each full-register
     probability vector of a stack (..., 2^n), with the plan's readout flips
     mixed in.
 
-    The whole stack is normalized and mixed in one pass; then member i of the
-    flattened stack draws from rng_for(i), which is called right before its
-    draw. A single vector is the stack of one and draws from rng_for(0).
+    The whole stack is normalized and mixed in one pass and drawn from `rng`
+    in one call, member by member in flattened order: the counts are those
+    of drawing each member alone, in that order, from the same generator.
     """
     probs = probs / probs.sum(axis=-1, keepdims=True)
     if plan.noise.p_ro > 0.0:
         n_qubits = probs.shape[-1].bit_length() - 1
         probs = np.matvec(readout_confusion(n_qubits, plan.noise.p_ro), probs)
         probs = probs / probs.sum(axis=-1, keepdims=True)
-    flat = probs.reshape(-1, probs.shape[-1])
-    counts = [rng_for(i).multinomial(plan.n_shots, p) for i, p in enumerate(flat)]
-    return np.array(counts).reshape(probs.shape)
+    return rng.multinomial(plan.n_shots, probs)
 
 
 def _sign_or(values: np.ndarray) -> np.ndarray:
@@ -420,13 +291,14 @@ def default_sign_floor(n_shots: int) -> float:
 
 
 def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
-                  rng_factory: Callable[[int], np.random.Generator]) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Advance the rows (..., m, n) of orthogonal factors under their
     transposed Cayley maps (..., n, n): one factor, or a stack of them.
 
     The rows of every factor are encoded as one stack of states, run as one
-    circuit under the plan's noise, drawn as one stack (member i of the
-    flattened rows from rng_factory(i)) and rebuilt as sign * sqrt(p_hat).
+    circuit under the plan's noise, drawn from `rng` as one stack in
+    flattened order (the rows of the first factor, then of the next) and
+    rebuilt as sign * sqrt(p_hat).
     Each entry keeps its own sign unless its measured magnitude falls below
     the sign floor; it then takes the sign of the noise-free classical
     prediction.
@@ -440,7 +312,7 @@ def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
     states = StateVec.from_amplitudes(rows)
     probs = circuit_probs(states, [(embed_unitary(gate.astype(complex), states.dim),
                                     None)], plan.noise)
-    p = sample_probs(probs, plan, rng_factory)[..., :n].astype(float)
+    p = sample_probs(probs, plan, rng)[..., :n].astype(float)
     total = p.sum(axis=-1, keepdims=True)
     if (total == 0.0).any():
         raise RowReconstructionError("all sampled row magnitudes are zero")
@@ -465,8 +337,7 @@ def _interferometer_gates(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
                        plan: ShotPlan | None = None,
-                       rng_factory: Callable[..., np.random.Generator] | None = None
-                       ) -> np.ndarray:
+                       rng: np.random.Generator | None = None) -> np.ndarray:
     """Advance the diagonal-unitary phases by a Cayley step of -i L.
 
     The state (1/sqrt(N)) sum_j e^{i phi_j} |j> is evolved under the diagonal
@@ -476,9 +347,9 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
     mixing yields cos(phi_j), the same mixing preceded by an S^dagger phase
     on |j> yields sin(phi_j), and phi_j = atan2(sin, cos). Phase 0 is the
     reference and stays 0. Each family is one circuit on a stack of n-1
-    gates, one per j. Both families are drawn as one (n-1, 2) stack: circuit
-    j draws from rng_factory(j, 0) (cos) or rng_factory(j, 1) (sin). The
-    count and contrast guards are taken in the order of j, cos before sin.
+    gates, one per j. Both families are drawn from `rng` as one (n-1, 2)
+    stack, in the order of j, cos before sin; the count and contrast guards
+    are taken in the same order.
     """
     phases = np.asarray(phases, dtype=float)
     if np.any(np.abs(phases) >= np.pi):
@@ -490,8 +361,8 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
         new = np.angle(np.exp(1j * new))  # wrap into (-pi, pi]
         new[0] = 0.0
         return new
-    if rng_factory is None:
-        raise InvalidInputError("a ShotPlan needs an rng factory")
+    if rng is None:
+        raise InvalidInputError("a ShotPlan needs an rng")
     base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(n))
     evo = embed_unitary(np.diag(factors), base.dim)
     sdg, mix = _interferometer_gates(n, base.dim)
@@ -499,7 +370,7 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
         circuit_probs(base, [(evo, None), (mix, None)], plan.noise),
         circuit_probs(base, [(evo, None), (sdg, None), (mix, None)], plan.noise),
     ], axis=1)
-    counts = sample_probs(probs, plan, lambda i: rng_factory(i // 2 + 1, i % 2))
+    counts = sample_probs(probs, plan, rng)
     p = counts / counts.sum(axis=-1, keepdims=True)
     k = np.arange(n - 1)
     p0, pj = p[..., 0], p[k, :, k + 1]  # (n-1, 2): phase j = k + 1, cos and sin
@@ -557,7 +428,7 @@ def _block_diagonal(mats: np.ndarray, dim: int) -> np.ndarray:
 
 def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
                    plan: ShotPlan | None = None,
-                   rng_for: Callable[[int], np.random.Generator] | None = None,
+                   rngs: Sequence[np.random.Generator] | None = None,
                    steps: Sequence[int] | None = None) -> DilationResult:
     """One-ancilla dilation circuits applying the nonunitary propagators of a
     stack of factor states to v0, run as one circuit on stacks of gates.
@@ -567,7 +438,8 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
     Conditioned on ancilla 0 the system state is Phi v0 / sigma1 up to
     normalization; the acceptance rate ||Phi v0||^2 / sigma1^2 recovers the
     norm. Read exactly without a plan, else sampled under it, member i
-    drawing from rng_for(i). The result carries the stack axis (K, ...).
+    drawing from its own generator rngs[i]. The result carries the stack
+    axis (K, ...).
 
     `steps`, when given, names the grid point of each member, and an error
     carries the step of the member it belongs to: the first member with no
@@ -581,7 +453,7 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
     v0 = np.asarray(v0, dtype=float)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-10:
         raise InvalidInputError("initial vector must have unit norm", step_of(0))
-    if plan is not None and rng_for is None:
+    if plan is not None and rngs is None:
         raise InvalidInputError("a ShotPlan needs an rng", step_of(0))
     n = len(v0)
     system = StateVec.from_amplitudes(v0)
@@ -626,7 +498,7 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
         probs = np.abs(block[:, :n]) ** 2 / acceptance[:, None]
         return DilationResult(probs=probs, acceptance_rate=acceptance,
                               amplitudes=block[:, :n] / np.sqrt(acceptance)[:, None])
-    counts = sample_probs(full_probs, plan, rng_for)
+    counts = np.array([sample_probs(p, plan, rng) for p, rng in zip(full_probs, rngs)])
     accepted = counts[:, :dim].astype(float)
     n_acc = accepted.sum(axis=-1)
     starved = np.flatnonzero(n_acc == 0.0)
@@ -642,7 +514,7 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
     """The dilation circuit of one factor state: the stack of one of
     `dilation_stack`, drawing from `rng`, and the specification that stacked
     runs are tested against."""
-    out = dilation_stack(v0, [f], plan, None if rng is None else lambda _: rng)
+    out = dilation_stack(v0, [f], plan, None if rng is None else [rng])
     return DilationResult(
         probs=out.probs[0], acceptance_rate=float(out.acceptance_rate[0]),
         amplitudes=None if out.amplitudes is None else out.amplitudes[0],
@@ -660,31 +532,29 @@ def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
     the pre-step factors (the caller rolls it into the extrapolation
     history). Without a plan U and V are updated as whole matrices, as
     `svdeom.step_factors` does, and `project` is ignored; with a plan every
-    row and phase is measured under it, and `project` maps U and V onto the
+    row and phase is measured under it, all drawn from one stream,
+    derive_rng(master_seed, step_index), and `project` maps U and V onto the
     nearest orthogonal matrices. The new state stores the cosines of the new
     phases, so a phase that crossed 0 reads back in [0, pi] (`SvdFactors.phases`)
     and does not turn the next step's phase generator the wrong way.
     """
-    n = state.dim
     try:
         snap = snapshot_from_arrays(state.u, state.tilde, a, state.t,
                                     tol_degen, tol_sat)
         z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
         cay_z = cayley(z_mid, h)
         cay_w = cayley(w_mid, h)
+        rng = None if plan is None else derive_rng(master_seed, step_index)
         if plan is None:
             u_new = state.u @ cay_z
             v_new = state.v @ cay_w
         else:
             u_new, v_new = propagate_row(
-                np.stack([state.u, state.v]), np.stack([cay_z.T, cay_w.T]), plan,
-                lambda i: stream_rng(master_seed, n, step_index, i // n, i % n))
+                np.stack([state.u, state.v]), np.stack([cay_z.T, cay_w.T]), plan, rng)
             if project:
                 u_new = nearest_orthogonal(u_new)
                 v_new = nearest_orthogonal(v_new)
-        phases_new = evolve_sigma_phase(
-            state.phases, l_mid, h, plan,
-            rng_factory=lambda j, w: stream_rng(master_seed, n, step_index, 2, j, w))
+        phases_new = evolve_sigma_phase(state.phases, l_mid, h, plan, rng)
         sigma1_new = state.sigma1 * float(np.exp(h * g11_mid))
     except SvdFlowError as exc:
         if exc.step is None:

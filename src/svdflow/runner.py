@@ -13,26 +13,16 @@ import numpy as np
 from .config import MODES, RunConfig, build_generator, config_as_dict
 from .errors import ConfigError, SvdFlowError
 from .odeflow import Generator, apply_step_products, seed_factors, step_products
-from .qsim import (
-    STREAM_BLOCK,
-    NoiseSpec,
-    ShotPlan,
-    dilation_stack,
-    qsvd_step,
-    release_streams,
-    stream_rng,
-)
+from .qsim import NoiseSpec, ShotPlan, derive_rng, dilation_stack, qsvd_step
 from .svdeom import SvdFactors, reconstruct_phi, sigma_plus, snapshot_from_arrays
 
 TRAJECTORY_COLUMNS = (
     "t", "P_D_ref", "P_A_ref", "P_D_qsvd", "P_A_qsvd", "sigma1",
     "ortho_err_U", "ortho_err_V", "sigma_mod_err", "acceptance_rate",
 )
-# Grid points tabulated together, their dilation circuits as one stack. It
-# divides STREAM_BLOCK, so the grid points of a block share the block of
-# stream seeds that the step loop has cached when the block is tabulated.
+# Grid points tabulated together, their dilation circuits as one stack. A
+# performance constant only: each grid point's circuit draws its own stream.
 GRID_BLOCK = 16
-assert STREAM_BLOCK % GRID_BLOCK == 0
 
 
 def initial_state(dim: int) -> np.ndarray:
@@ -105,8 +95,8 @@ def _tabulate(cfg: RunConfig, plan: ShotPlan | None, p_ref: np.ndarray,
               block: list, steps: list[int]) -> np.ndarray:
     """CSV rows of the factor states `block` at the grid points `steps`, in
     one pass. With cfg.dilation a measured run reads the acceptance rates off
-    the block's dilation circuits, run as one stack (grid point k draws the
-    stream (rng_seed, k, 3) and a failure carries k), else off Phi v0.
+    the block's dilation circuits, run as one stack (grid point k draws from
+    derive_rng(rng_seed, k, 3) and a failure carries k), else off Phi v0.
     Acceptance and orthogonality are reduced per point as 1-d dots with a
     float sigma1**2, as a point alone reduces them, to keep every byte."""
     f = SvdFactors(*(np.array([getattr(x, name) for x in block])
@@ -114,8 +104,8 @@ def _tabulate(cfg: RunConfig, plan: ShotPlan | None, p_ref: np.ndarray,
     v0 = initial_state(f.dim)
     p_q = reconstruct_phi(f) @ v0
     if cfg.dilation and plan is not None:
-        acc = dilation_stack(v0, block, plan, lambda i: stream_rng(
-            cfg.rng_seed, f.dim, steps[i], 3), steps).acceptance_rate
+        acc = dilation_stack(v0, block, plan, [derive_rng(cfg.rng_seed, k, 3)
+                                               for k in steps], steps).acceptance_rate
     else:
         acc = [p @ p / x.sigma1**2 for p, x in zip(p_q, block)]
     uv = np.stack([f.u, f.v])
@@ -140,10 +130,11 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     Grid points are tabulated in blocks of GRID_BLOCK (`_tabulate`): grid
     point k is queued once the loop has built its factor state, and every
     GRID_BLOCK queued points get their rows, dilation circuits included, in
-    one stacked pass, each circuit drawing the stream it would draw alone.
-    When the loop raises, the queued block is tabulated first: its grid
-    points precede the failure, so the earliest of its errors is raised in
-    its place. Guard errors carry the step they tripped at.
+    one stacked pass, each dilation circuit drawing its grid point's own
+    stream, so a block cut short draws the counts of the full block. When
+    the loop raises a guard error, the queued block is tabulated first: its
+    grid points precede the failure, so the earliest of its errors is raised
+    in its place. Guard errors carry the step they tripped at.
     """
     t_start = time.perf_counter()
     if cfg.mode not in MODES:
@@ -177,23 +168,19 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
             flush()
 
     try:
-        try:
-            record(0)
-            for i in range(cfg.n_steps):
-                state, snap = qsvd_step(
-                    factors[-1], history, gen, h, plan, master_seed=cfg.rng_seed,
-                    step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
-                    tol_sat=cfg.tol_sat)
-                history = [history[1], snap]
-                factors.append(state)
-                record(i + 1)
-            flush()
-        except SvdFlowError:
-            flush()
-            raise
-    finally:
-        queue.clear()
-        release_streams()
+        record(0)
+        for i in range(cfg.n_steps):
+            state, snap = qsvd_step(
+                factors[-1], history, gen, h, plan, master_seed=cfg.rng_seed,
+                step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
+                tol_sat=cfg.tol_sat)
+            history = [history[1], snap]
+            factors.append(state)
+            record(i + 1)
+        flush()
+    except SvdFlowError:
+        flush()
+        raise
 
     table = np.concatenate(blocks)
     dpd = np.abs(table[:, 3] - table[:, 1])

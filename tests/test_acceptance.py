@@ -213,7 +213,7 @@ def test_criterion_9_phase_reconstruction():
         planted[0] = 0.0
         out = evolve_sigma_phase(
             planted, np.zeros(n), 1.0, ShotPlan(n_shots),
-            rng_factory=lambda j, w, n=n: derive_rng(900 + n, j, w))
+            derive_rng(900 + n))
         # delta-method standard error of atan2(s_hat, c_hat); the
         # interferometer subspace holds 2/n of the shots
         n_sub = 2.0 * n_shots / n

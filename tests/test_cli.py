@@ -271,15 +271,15 @@ class TestCli:
 
     def test_post_selection_starved_names_grid_step(self, tmp_path, capsys):
         # one shot per dilation circuit: for this rng seed no shot survives
-        # post-selection at grid point 5 (dilation in sampled mode needs
-        # project)
+        # post-selection at grid point 6 (dilation in sampled mode needs
+        # project); tests/test_runner.py states how the seed was chosen
         cfg = write_config(tmp_path, {"n_shots": 1, "dilation": True, "project": True})
-        code = main(["qsvd", "--config", cfg, "--mode", "sampled", "--seed", "8",
+        code = main(["qsvd", "--config", cfg, "--mode", "sampled", "--seed", "16",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 4
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "PostSelectionStarvedError"
-        assert record["step"] == 5
+        assert record["step"] == 6
 
     @pytest.mark.parametrize("command,work", [("qsvd", "run_qsvd"),
                                               ("reference", "compute_reference")])

@@ -111,36 +111,6 @@ class TestPlumbing:
                 NoiseSpec(p1=value)
 
 
-class TestStreams:
-    """`stream_rng` against its specification, `derive_rng`."""
-
-    @pytest.mark.parametrize("length", range(1, 10))
-    def test_seed_words_match_seed_sequence(self, length):
-        # lengths below, at and above the four-word pool
-        entropy = np.random.default_rng(length).integers(
-            0, 2**32, size=(40, length), dtype=np.uint32)
-        entropy[0], entropy[1] = 0, 2**32 - 1
-        want = [np.random.SeedSequence(row.tolist()).generate_state(4, np.uint64)
-                for row in entropy]
-        assert np.array_equal(qsim._seed_words(entropy), want)
-
-    @pytest.mark.parametrize("seed", [0, 1234, 2**32 - 1, 2**32, 2**40 + 5, 10**18])
-    def test_block_streams_match_derive_rng(self, seed):
-        # every task kind, on both sides of the 63/64 block edge
-        for step, n in itertools.product((0, 63, 64, 399, 1000), (2, 3, 8)):
-            paths = [(kind, i) for kind in (0, 1) for i in range(n)]
-            paths += [(2, j, w) for j in range(1, n) for w in (0, 1)] + [(3,)]
-            for path in paths:
-                got = qsim.stream_rng(seed, n, step, *path).bit_generator.state
-                assert got == derive_rng(seed, step, *path).bit_generator.state, \
-                    (step, n, path)
-
-    def test_stream_draws_match_derive_rng(self):
-        probs = np.array([0.1, 0.2, 0.3, 0.4])
-        got = qsim.stream_rng(7, 2, 64, 2, 1, 0).multinomial(10**6, probs)
-        assert np.array_equal(got, derive_rng(7, 64, 2, 1, 0).multinomial(10**6, probs))
-
-
 class TestApplyUnitary:
     def test_identity_noop(self):
         st = StateVec.from_amplitudes([0.6, 0.8j])
@@ -192,7 +162,7 @@ class TestFixedGates:
         for seed in range(3):
             for p in (None, plan):
                 evolve_sigma_phase(np.array([0.0, 0.4, 1.1]), np.array([0.0, 0.3, -0.2]),
-                                   0.1, p, lambda j, w: derive_rng(seed, j, w))
+                                   0.1, p, derive_rng(seed))
                 dilation_circuit(initial_state(3), f, p, derive_rng(seed, 3))
         constants = [*qsim._interferometer_gates(3, 4), qsim._ancilla_hadamard(4)]
         for const in constants:
@@ -290,47 +260,48 @@ class TestSample:
     def test_basis_state_no_noise(self):
         st = StateVec.from_amplitudes([0.0, 1.0])
         counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(1000),
-                              lambda _: np.random.default_rng(0))
+                              np.random.default_rng(0))
         assert counts[1] == 1000 and counts[0] == 0
 
     def test_uniform_superposition_binomial_error(self):
         st = StateVec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
         counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(10**6),
-                              lambda _: np.random.default_rng(5))
+                              np.random.default_rng(5))
         assert np.abs(counts / counts.sum() - 0.5).max() <= 3.0 * 5e-4
 
     def test_readout_flip_rate(self):
         st = StateVec.from_amplitudes([1.0, 0.0])
         counts = sample_probs(np.abs(st.amps) ** 2,
                               ShotPlan(10**6, NoiseSpec(p_ro=0.01)),
-                              lambda _: np.random.default_rng(8))
+                              np.random.default_rng(8))
         se = np.sqrt(0.01 * 0.99 / 10**6)
         assert abs(counts[1] / counts.sum() - 0.01) <= 3.0 * se
 
     def test_deterministic_per_seed(self):
         st = StateVec.from_amplitudes(np.array([0.6, 0.8]))
         a = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
-                         lambda _: np.random.default_rng(2))
+                         np.random.default_rng(2))
         b = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
-                         lambda _: np.random.default_rng(2))
+                         np.random.default_rng(2))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("p_ro", [0.0, 0.013])
     def test_stack_matches_per_member_draws(self, p_ro):
-        # one normalization and one readout mix for the whole stack, then
-        # member i of the flattened stack draws from its own stream, bit for
-        # bit as a single vector normalized, mixed and drawn on its own
+        # one normalization, one readout mix and one draw for the whole
+        # stack, bit for bit as its members normalized, mixed and drawn one
+        # by one, in flattened order, from a generator with the same seed
         rng = np.random.default_rng(17)
         probs = rng.random((3, 2, 8)) ** 3
         plan = ShotPlan(10**5, NoiseSpec(p_ro=p_ro))
-        counts = sample_probs(probs, plan, lambda i: derive_rng(4, 9, 2, i))
+        counts = sample_probs(probs, plan, derive_rng(4, 9))
         assert counts.shape == probs.shape
+        one_by_one = derive_rng(4, 9)
         for i, q in enumerate(probs.reshape(-1, 8)):
             q = q / q.sum()
             if p_ro:
                 q = readout_confusion(3, p_ro) @ q
                 q = q / q.sum()
-            want = derive_rng(4, 9, 2, i).multinomial(plan.n_shots, q)
+            want = one_by_one.multinomial(plan.n_shots, q)
             assert np.array_equal(counts.reshape(-1, 8)[i], want)
 
     def test_confusion_matrix_stochastic(self):
@@ -350,7 +321,7 @@ class TestPropagateRow:
         row = np.array([0.8, -0.6])
         plan = ShotPlan(10**6)
         out = propagate_row(row[None], np.eye(2), plan,
-                            rng_factory=lambda i: derive_rng(1, 0))[0]
+                            derive_rng(1, 0))[0]
         assert np.array_equal(np.sign(out), np.sign(row))
         assert np.abs(out - row).max() <= 5e-3
 
@@ -360,7 +331,7 @@ class TestPropagateRow:
                           [np.sin(th), np.cos(th)]]).T
         plan = ShotPlan(10**6)
         out = propagate_row(np.array([[1.0, 0.0]]), rot_t.T, plan,
-                            rng_factory=lambda i: derive_rng(3, 0))[0]
+                            derive_rng(3, 0))[0]
         assert np.abs(out - [np.cos(th), np.sin(th)]).max() <= 5e-3
         assert np.array_equal(np.sign(out), [1.0, 1.0])
 
@@ -373,7 +344,7 @@ class TestPropagateRow:
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         plan = ShotPlan(10**4)
         out = propagate_row(np.array([[1.0, 0.0]]), rot, plan,
-                            rng_factory=lambda i: derive_rng(4, 0))[0]
+                            derive_rng(4, 0))[0]
         predicted = rot @ np.array([1.0, 0.0])
         assert np.sign(out[0]) == np.sign(predicted[0]) or predicted[0] == 0.0
         assert abs(out[1]) >= 0.99
@@ -381,17 +352,16 @@ class TestPropagateRow:
     @pytest.mark.parametrize("noise", [
         NoiseSpec(), NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)], ids=["sampled", "noisy"])
     def test_stacked_rows_match_single_rows(self, noise):
-        # each row of a 3-row stack comes out bit for bit as a 1-row call
-        # drawing from the same rng stream
+        # each row of a 3-row stack comes out bit for bit as 1-row calls
+        # drawing in order from a generator with the same seed
         rng = np.random.default_rng(17)
         rows = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         gate = matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2).T
         plan = ShotPlan(10**4, noise)
-        stacked = propagate_row(rows, gate, plan,
-                                rng_factory=lambda i: derive_rng(5, i))
+        stacked = propagate_row(rows, gate, plan, derive_rng(5))
+        one_by_one = derive_rng(5)
         for i in range(3):
-            single = propagate_row(rows[i:i + 1], gate, plan,
-                                   rng_factory=lambda _: derive_rng(5, i))
+            single = propagate_row(rows[i:i + 1], gate, plan, one_by_one)
             assert np.array_equal(stacked[i], single[0])
 
 
@@ -402,17 +372,18 @@ class TestStackedKernels:
         NoiseSpec(), NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)], ids=["sampled", "noisy"])
     def test_factor_stack_matches_one_factor_calls(self, noise):
         # n = 3 pads to 4 amplitudes; the gates are transposed views, as the
-        # step hands them over
+        # step hands them over; the one-factor calls draw in order from a
+        # generator with the stack's seed
         rng = np.random.default_rng(23)
         rows = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)])
         cays = [matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2)
                 for _ in range(2)]
         plan = ShotPlan(10**4, noise)
         stacked = propagate_row(rows, np.stack([c.T for c in cays]), plan,
-                                lambda i: derive_rng(8, i // 3, i % 3))
+                                derive_rng(8))
+        one_by_one = derive_rng(8)
         for k in range(2):
-            single = propagate_row(rows[k], cays[k].T, plan,
-                                   lambda i: derive_rng(8, k, i))
+            single = propagate_row(rows[k], cays[k].T, plan, one_by_one)
             assert np.array_equal(stacked[k], single)
 
     @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (2, 4, 4), (3, 3, 3)])
@@ -420,7 +391,7 @@ class TestStackedKernels:
         rows = np.stack([np.eye(3)] * 2)
         gates = np.broadcast_to(np.eye(shape[-1]), shape)
         with pytest.raises(InvalidInputError, match="dimension mismatch"):
-            propagate_row(rows, gates, ShotPlan(100), lambda i: derive_rng(0, i))
+            propagate_row(rows, gates, ShotPlan(100), derive_rng(0))
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_stacked_reconstruct_phi_matches_per_point_calls(self, n):
@@ -452,7 +423,7 @@ class TestEvolveSigmaPhase:
         plan = ShotPlan(10**6)
         out = evolve_sigma_phase(
             np.array([0.0, phi]), np.zeros(2), 1.0, plan,
-            rng_factory=lambda j, w: derive_rng(6, j, w))
+            derive_rng(6))
         se = np.sqrt(1.0 / (2 * 10**6 / 2))  # conservative subspace SE
         assert abs(out[1] - phi) <= 3.0 * se
 
@@ -461,8 +432,30 @@ class TestEvolveSigmaPhase:
         plan = ShotPlan(10**6)
         out = evolve_sigma_phase(
             phases, np.zeros(4), 1.0, plan,
-            rng_factory=lambda j, w: derive_rng(9, j, w))
+            derive_rng(9))
         assert np.abs(out - phases).max() <= 0.01
+
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec(), NoiseSpec(p1=1e-3, p2=1e-2, p_ro=1e-2)], ids=["sampled", "noisy"])
+    def test_phase_stack_matches_circuits_drawn_in_order(self, noise):
+        # the (n-1, 2) stack comes out as its circuits run and drawn one by
+        # one, j = 1..n-1 with cos before sin, from a generator with the
+        # same seed; n = 3 pads to 4 amplitudes
+        phases, lplus, h = np.array([0.0, 0.4, -0.9]), np.array([0.0, 0.3, -0.2]), 0.5
+        plan = ShotPlan(10**4, noise)
+        out = evolve_sigma_phase(phases, lplus, h, plan, derive_rng(6, 1))
+        base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(3))
+        evo = embed_unitary(np.diag(matcore.cayley_diag(lplus, h)), 4)
+        sdg, mix = qsim._interferometer_gates(3, 4)
+        one_by_one = derive_rng(6, 1)
+        for j in (1, 2):
+            cos_sin = []
+            for pre in ([], [(sdg[j - 1], None)]):
+                probs = qsim.circuit_probs(base, [(evo, None), *pre, (mix[j - 1], None)],
+                                           noise)
+                counts = sample_probs(probs, plan, one_by_one)
+                cos_sin.append((counts[0] - counts[j]) / (counts[0] + counts[j]))
+            assert abs(out[j] - np.arctan2(cos_sin[1], cos_sin[0])) <= 1e-12
 
     def test_interferometer_gates_match_per_j_build_and_are_read_only(self):
         # member j-1 of each stack equals the gate built for j alone
@@ -527,7 +520,8 @@ class TestDilation:
         rng = np.random.default_rng(15)
         factors = [random_factors(rng, 3) for _ in range(5)]
         v0 = initial_state(3)
-        out = qsim.dilation_stack(v0, factors, plan, lambda i: derive_rng(2, i, 3))
+        out = qsim.dilation_stack(v0, factors, plan,
+                                  [derive_rng(2, i, 3) for i in range(5)])
         for i, f in enumerate(factors):
             one = dilation_circuit(v0, f, plan, derive_rng(2, i, 3))
             assert np.array_equal(out.probs[i], one.probs)
@@ -544,7 +538,7 @@ class TestDilation:
         bent = dataclasses.replace(factors[2], u=factors[2].u * 1.001)
         with pytest.raises(InvalidGateError) as excinfo:
             qsim.dilation_stack(v0, [*factors[:2], bent, factors[3]], ShotPlan(100),
-                                lambda i: derive_rng(0, i), steps)
+                                [derive_rng(0, i) for i in range(4)], steps)
         assert excinfo.value.step == 34
         # the first member when only the norm over the stack exceeds the bound
         near = [dataclasses.replace(f, v=f.v * (1 + 3e-12)) for f in factors] * 400
@@ -564,8 +558,8 @@ class TestDilation:
                 starved.append(i)
         assert starved[0] > 0
         with pytest.raises(PostSelectionStarvedError) as excinfo:
-            qsim.dilation_stack(v0, members, ShotPlan(1), lambda i: derive_rng(5, i),
-                                steps)
+            qsim.dilation_stack(v0, members, ShotPlan(1),
+                                [derive_rng(5, i) for i in range(len(members))], steps)
         assert excinfo.value.step == steps[starved[0]]
 
     def test_plan_needs_rng(self):
@@ -701,7 +695,9 @@ class TestQsvdStep:
 
     @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(1e-3, 1e-2, 1e-2)])
     def test_measured_step_draws_the_derive_rng_streams(self, noise):
-        # steps 62..65 straddle a stream block; n = 3 pads to 4 amplitudes
+        # step i draws its rows (U, then V), then its phases, from one
+        # stream, derive_rng(seed, i); n = 3 pads to 4 amplitudes, and the
+        # seed takes two words
         cfg = RunConfig(model_name="synthetic",
                         model_params={"n": 3, "seed": 3, "smoothness": 0.1},
                         t_seed=1.0, t_f=1.2, n_steps=40, seed_substeps=5000).validate()
@@ -710,24 +706,30 @@ class TestQsvdStep:
         seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
         history = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in seeds[:2]]
         state = seeds[2]
-        v0 = initial_state(3)
         for step in range(62, 66):
             new, snap = qsvd_step(state, history, gen, h, plan, master_seed=seed,
                                   step_index=step, project=True)
             z_mid, w_mid, l_mid, _ = midpoint_generators(
                 snapshot_from_arrays(state.u, state.tilde, gen, state.t), history)
-            for kind, rows, mid, got in ((0, state.u, z_mid, new.u),
-                                         (1, state.v, w_mid, new.v)):
-                want = propagate_row(rows, matcore.cayley(mid, h).T, plan,
-                                     lambda i: derive_rng(seed, step, kind, i))
-                assert np.array_equal(got, matcore.nearest_orthogonal(want))
-            phases = evolve_sigma_phase(state.phases, l_mid, h, plan,
-                                        lambda j, w: derive_rng(seed, step, 2, j, w))
-            assert np.array_equal(new.tilde, np.cos(np.abs(phases)))
-            assert np.array_equal(
-                dilation_circuit(v0, new, plan, qsim.stream_rng(seed, 3, step, 3)).record,
-                dilation_circuit(v0, new, plan, derive_rng(seed, step, 3)).record)
+            rng = derive_rng(seed, step)
+            u, v = propagate_row(
+                np.stack([state.u, state.v]),
+                np.stack([matcore.cayley(z_mid, h).T, matcore.cayley(w_mid, h).T]),
+                plan, rng)
+            phases = evolve_sigma_phase(state.phases, l_mid, h, plan, rng)
+            assert np.array_equal(new.u, matcore.nearest_orthogonal(u))
+            assert np.array_equal(new.v, matcore.nearest_orthogonal(v))
+            assert np.array_equal(new.tilde, np.cos(phases))
             state, history = new, [history[1], snap]
+
+    @pytest.mark.parametrize("seed", [1234, 2**32 + 7])
+    def test_streams_of_a_run_are_distinct(self, seed):
+        # every step's stream (seed, i) and every grid point's dilation
+        # stream (seed, k, 3) of a 400-step run start in distinct states
+        paths = [(i,) for i in range(400)] + [(k, 3) for k in range(401)]
+        states = {tuple(derive_rng(seed, *path).bit_generator.state["state"].values())
+                  for path in paths}
+        assert len(states) == len(paths)
 
     @pytest.mark.parametrize("plan", [None, ShotPlan(100)], ids=["exact", "sampled"])
     def test_equal_modulus_is_a_degeneracy_at_its_step(self, plan):
