@@ -28,12 +28,13 @@ independent noisy execution - the granularity at which hardware repeats a
 circuit. `apply_unitary` is the noise-free statevector gate.
 
 Determinism: the only randomness is the multinomial draw of each measured
-circuit's shots. Step i of a measured run draws everything from one stream,
-`derive_rng(master_seed, i)`, in a fixed order: the row stack (rows 0..n-1 of
-U, then of V), then the phase stack (j = 1..n-1, cos before sin). Grid point
-k's dilation circuit draws from its own stream, `derive_rng(master_seed, k,
-3)`, so its counts do not depend on the grid points stacked with it. Runs
-with identical configurations are therefore bit-identical.
+circuit's shots. Step i of a measured run draws its rows and phases from
+one stream, `derive_rng(master_seed, i)`, in a fixed order: the row stack
+(rows 0..n-1 of U, then of V), then the phase stack (j = 1..n-1, cos before
+sin). Grid point k's dilation circuit draws from its own stream,
+`derive_rng(master_seed, k, 3)`, so its counts do not depend on the grid
+points stacked with it. Runs with identical configurations are therefore
+bit-identical.
 """
 
 from __future__ import annotations
