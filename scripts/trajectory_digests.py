@@ -6,11 +6,14 @@
 
 Runs `svdflow qsvd --config F --seed s` for every config and the member
 seeds s = S + j * 1000003 (j = 0 .. K-1, the ensemble stride of perfbench)
-and prints one line per member: the config's file stem, the seed and the
-sha256 of its trajectory CSV, or `ErrorClass@step` when the run stops on a
-guard. Each config ends with a line `STEM members=K failed=F`. svdflow is imported from this checkout's src/, so running the script
-on two trees and diffing the outputs checks that a change keeps every
-trajectory byte for byte. scripts/identity/ holds the configs of that check:
+and prints one line per member: the config's file stem, the seed, the
+sha256 of its trajectory CSV and the flow digest, the sha256 of the CSV
+without its `*_ref` columns; or `ErrorClass@step` when the run stops on a
+guard. Each config ends with a line `STEM members=K failed=F`. svdflow is
+imported from this checkout's src/, so running the script on two trees and
+diffing the outputs checks that a change keeps every trajectory byte for
+byte; a change that re-bases only the classical reference shows as equal
+flow digests. scripts/identity/ holds the configs of that check:
 the three perfbench workloads, synthetic n=5 sampled with dilation and
 project, the demo noisy with dilation and project, and the demo exact.
 """
@@ -31,6 +34,13 @@ from svdflow.cli import main as svdflow_main  # noqa: E402
 MEMBER_STRIDE = 1_000_003
 
 
+def flow_bytes(csv: bytes) -> bytes:
+    """The CSV with every `*_ref` column removed, other fields as written."""
+    rows = [line.split(b",") for line in csv.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if not name.endswith(b"_ref")]
+    return b"".join(b",".join(row[i] for i in keep) + b"\n" for row in rows)
+
+
 def digest(config: str, seed: int, workdir: pathlib.Path) -> str:
     out = workdir / f"member{seed}.csv"
     err = io.StringIO()
@@ -40,7 +50,8 @@ def digest(config: str, seed: int, workdir: pathlib.Path) -> str:
     if code != 0:
         record = json.loads(err.getvalue().strip().splitlines()[-1])
         return f"{record['error']}@{record.get('step')}"
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    csv = out.read_bytes()
+    return f"{hashlib.sha256(csv).hexdigest()} {hashlib.sha256(flow_bytes(csv)).hexdigest()}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,11 +18,16 @@ deviations against the identity and lose about two digits over 1e5
 substeps. Seeding, the reference trajectory and the oracle propagators all
 come from this one kernel; `propagator` keeps the substep-by-substep loop as
 the reference the kernel is tested against.
+
+Each segment's deviations are memoized on the `Generator` that evaluated
+them, keyed by the segment. Seeding and the reference both start with the
+`seed_segments` grid, so [0, t_seed] is integrated once per generator. The
+memo is only sound because `matrix` and `grid` are pure functions of t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,11 +50,18 @@ class Generator:
     each time. Without it, `matrix_grid` stacks scalar calls. A copy made by
     `dataclasses.replace(gen, matrix=...)` keeps `grid`, so the new matrix
     must still agree with it.
+
+    `step_products` memoizes each segment's deviations on the generator, so
+    `matrix` and `grid` must be pure functions of t. The memo takes no part
+    in equality, hashing or repr, and a `dataclasses.replace` copy starts
+    with an empty one.
     """
 
     dim: int
     matrix: Callable[[float], np.ndarray]
     grid: Callable[[np.ndarray], np.ndarray] | None = None
+    _segment_memo: dict = field(default_factory=dict, init=False, compare=False,
+                                repr=False)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.matrix(t)
@@ -101,6 +113,41 @@ def _compose_tree(d: np.ndarray) -> np.ndarray:
     return d[:, 0]
 
 
+def _segment_products(a: Generator, t0: float, t1: float, intervals: int,
+                      substeps: int, first: int) -> np.ndarray:
+    """Deviations of one segment's intervals; `first` is the index of its
+    first interval in the caller's stack, for the overflow step."""
+    if t1 <= t0:
+        raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
+    if intervals < 1 or substeps < 1:
+        raise InvalidInputError("intervals and substeps must be >= 1")
+    n = a.dim
+    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
+    h = (t1 - t0) / (intervals * substeps)
+    rows = max(1, per_chunk // substeps)   # intervals per chunk
+    cols = min(substeps, per_chunk)        # substeps per interval per chunk
+    out = []
+    for k0 in range(0, intervals, rows):
+        ks = np.arange(k0, min(k0 + rows, intervals))
+        total = None
+        for j0 in range(0, substeps, cols):
+            js = np.arange(j0, min(j0 + cols, substeps))
+            ts = t0 + (ks[:, None] * substeps + js).ravel() * h
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = _compose_tree(
+                    _deviations(a, ts, h).reshape(len(ks), len(js), n, n))
+                total = d if total is None else total + d + d @ total
+            bad = ~np.isfinite(total).all(axis=(1, 2))
+            if bad.any():
+                k = int(ks[np.argmax(bad)])
+                lo = t0 + k * substeps * h
+                raise OverflowGuardError(
+                    f"non-finite step product on [{lo:g}, {lo + substeps * h:g}]",
+                    step=first + k)
+        out.append(total)
+    return np.concatenate(out)
+
+
 def step_products(a: Generator,
                   segments: Sequence[tuple[float, float, int, int]]) -> np.ndarray:
     """Deviations D_k of the RK2 step products over consecutive intervals.
@@ -115,37 +162,19 @@ def step_products(a: Generator,
     through products, so this catches any overflow a per-substep check
     would. The first non-finite interval k raises OverflowGuardError with
     step=k.
+
+    A segment's deviations are computed once per generator and memoized on
+    it, read-only; the result is always a fresh array.
     """
-    n = a.dim
-    per_chunk = max(1, CHUNK_ELEMENTS // (n * n))
     out = []
-    for t0, t1, intervals, substeps in segments:
-        if t1 <= t0:
-            raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
-        if intervals < 1 or substeps < 1:
-            raise InvalidInputError("intervals and substeps must be >= 1")
-        h = (t1 - t0) / (intervals * substeps)
-        rows = max(1, per_chunk // substeps)   # intervals per chunk
-        cols = min(substeps, per_chunk)        # substeps per interval per chunk
-        for k0 in range(0, intervals, rows):
-            ks = np.arange(k0, min(k0 + rows, intervals))
-            total = None
-            for j0 in range(0, substeps, cols):
-                js = np.arange(j0, min(j0 + cols, substeps))
-                ts = t0 + (ks[:, None] * substeps + js).ravel() * h
-                with np.errstate(over="ignore", invalid="ignore"):
-                    d = _compose_tree(
-                        _deviations(a, ts, h).reshape(len(ks), len(js), n, n))
-                    total = d if total is None else total + d + d @ total
-                bad = ~np.isfinite(total).all(axis=(1, 2))
-                if bad.any():
-                    k = int(ks[np.argmax(bad)])
-                    lo = t0 + k * substeps * h
-                    raise OverflowGuardError(
-                        f"non-finite step product on [{lo:g}, {lo + substeps * h:g}]",
-                        step=len(out) + k)
-            out.extend(total)
-    return np.array(out)
+    for segment in map(tuple, segments):
+        d = a._segment_memo.get(segment)
+        if d is None:
+            d = _segment_products(a, *segment, first=sum(map(len, out)))
+            d.flags.writeable = False
+            a._segment_memo[segment] = d
+        out.append(d)
+    return np.concatenate(out)
 
 
 def apply_step_products(d: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -179,27 +208,33 @@ def _check_seed_gaps(s: np.ndarray, t: float, tol_degen: float):
         )
 
 
-def seed_factors(a: Generator, t_seed: float, h: float, nsub: int = 500,
-                 tol_degen: float = DEFAULT_TOL_DEGEN
-                 ) -> tuple[SvdFactors, SvdFactors, SvdFactors]:
-    """Classical seeding: SVD factors at t_seed - 2h, t_seed - h, t_seed.
-
-    The propagator is integrated once from 0 and continued across the three
-    seed times; nsub substeps are distributed over [0, t_seed] in proportion
-    to segment length. An overflow carries the index of the seed (0, 1, 2)
-    whose segment it reached.
-    """
+def seed_segments(t_seed: float, h: float, nsub: int) -> tuple:
+    """The seeding grid: [0, t_seed] split at t_seed - 2h and t_seed - h,
+    one interval per segment, with nsub substeps distributed in proportion
+    to segment length. Seeding and the reference integrate these segments."""
     if t_seed - 2.0 * h <= 0:
         raise InvalidInputError(
             f"t_seed - 2h = {t_seed - 2 * h:g} must be positive")
     if nsub < 3:
         raise InvalidInputError("nsub must be >= 3")
     times = [0.0, t_seed - 2.0 * h, t_seed - h, t_seed]
-    segments = [(lo, hi, 1, max(1, int(round(nsub * (hi - lo) / t_seed))))
-                for lo, hi in zip(times[:-1], times[1:])]
+    return tuple((lo, hi, 1, max(1, int(round(nsub * (hi - lo) / t_seed))))
+                 for lo, hi in zip(times[:-1], times[1:]))
+
+
+def seed_factors(a: Generator, t_seed: float, h: float, nsub: int = 500,
+                 tol_degen: float = DEFAULT_TOL_DEGEN
+                 ) -> tuple[SvdFactors, SvdFactors, SvdFactors]:
+    """Classical seeding: SVD factors at t_seed - 2h, t_seed - h, t_seed.
+
+    The propagator is integrated once from 0 over `seed_segments` and
+    continued across the three seed times. An overflow carries the index of
+    the seed (0, 1, 2) whose segment it reached.
+    """
+    segments = seed_segments(t_seed, h, nsub)
     phis = apply_step_products(step_products(a, segments), np.eye(a.dim))
     out = []
-    for phi, t in zip(phis, times[1:]):
+    for phi, (_, t, _, _) in zip(phis, segments):
         u, s, v = svd(phi)
         _check_seed_gaps(s, t, tol_degen)
         out.append(SvdFactors.from_svd(u, s, v, t))

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MODES, RunConfig, build_generator, config_as_dict
-from .errors import ConfigError, SvdFlowError
-from .odeflow import Generator, apply_step_products, seed_factors, step_products
+from .errors import ConfigError, OverflowGuardError, SvdFlowError
+from .odeflow import (Generator, apply_step_products, seed_factors, seed_segments,
+                      step_products)
 from .qsim import NoiseSpec, ShotPlan, derive_rng, dilation_stack, qsvd_step
 from .svdeom import SvdFactors, reconstruct_phi, sigma_plus, snapshot_from_arrays
 
@@ -52,26 +53,33 @@ class ReferenceResult:
         return np.column_stack([self.times, self.states])
 
 
-def _grid_step_products(cfg: RunConfig, gen: Generator) -> np.ndarray:
-    """Step-product deviations onto every factor-flow grid point: [0, t_seed]
-    on the seeding grid, then each of the n_steps output intervals with
-    ref_refine substeps. Entry k ends at grid point k, so an overflow's step
-    is the grid index."""
-    return step_products(gen, [
-        (0.0, cfg.t_seed, 1, cfg.seed_substeps),
-        (cfg.t_seed, cfg.t_f, cfg.n_steps, cfg.ref_refine),
-    ])
+def _grid_states(cfg: RunConfig, gen: Generator, x0: np.ndarray) -> np.ndarray:
+    """x0 propagated to every factor-flow grid point: [0, t_seed] over the
+    seeding's `seed_segments`, memoized on `gen` and so shared with
+    `seed_factors`, then each of the n_steps output intervals with
+    ref_refine substeps. Entry e of the joint product ends at grid point
+    max(0, e - 2), and an overflow carries that grid point as its step."""
+    segments = (*seed_segments(cfg.t_seed, cfg.step_size, cfg.seed_substeps),
+                (cfg.t_seed, cfg.t_f, cfg.n_steps, cfg.ref_refine))
+    try:
+        return apply_step_products(step_products(gen, segments), x0)[2:]
+    except OverflowGuardError as exc:
+        step = max(0, exc.step - 2)
+        raise OverflowGuardError(
+            f"non-finite reference by grid point {step} "
+            f"(t={cfg.t_seed + step * cfg.step_size:g})", step=step) from exc
 
 
 def compute_reference(cfg: RunConfig, gen: Generator | None = None) -> ReferenceResult:
     """RK2 populations at t=0 and on the factor-flow grid [t_seed, t_f].
 
-    The segment [0, t_seed] uses the seeding grid; each of the n_steps
-    output intervals uses ref_refine substeps.
+    The segment [0, t_seed] is the seeding's three `seed_segments`, whose
+    step products `seed_factors` on the same generator shares. Each of the
+    n_steps output intervals uses ref_refine substeps.
     """
     gen = build_generator(cfg) if gen is None else gen
     v0 = initial_state(gen.dim)
-    states = apply_step_products(_grid_step_products(cfg, gen), v0)
+    states = _grid_states(cfg, gen, v0)
     h = cfg.step_size
     times = np.concatenate([[0.0, cfg.t_seed],
                             (cfg.t_seed + h * np.arange(cfg.n_steps)) + h])
@@ -80,7 +88,7 @@ def compute_reference(cfg: RunConfig, gen: Generator | None = None) -> Reference
 
 def oracle_propagators(cfg: RunConfig, gen: Generator) -> list[np.ndarray]:
     """Finely integrated propagators at every factor-flow grid point."""
-    return list(apply_step_products(_grid_step_products(cfg, gen), np.eye(gen.dim)))
+    return list(_grid_states(cfg, gen, np.eye(gen.dim)))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ from svdflow.odeflow import (
     apply_step_products,
     propagator,
     seed_factors,
+    seed_segments,
     step_products,
 )
-from svdflow.runner import compute_reference
+from svdflow.runner import compute_reference, initial_state, oracle_propagators
 
 
 def constant(m):
@@ -252,8 +253,82 @@ class TestOverflowGuard:
             seed_factors(gen, 2.0, 0.05, nsub=2000)
         assert info.value.step == 2
 
+    def names_grid_point(self, small_cfg, reference):
+        # the second window leaves double range inside [0, t_seed]: grid point 0
+        for t_seed, t_f, step in ((1.0, 3.0, 13), (2.0, 4.0, 0)):
+            cfg = dataclasses.replace(small_cfg, t_seed=t_seed, t_f=t_f, n_steps=20)
+            with pytest.raises(OverflowGuardError) as info:
+                reference(cfg, self.growth)
+            assert info.value.step == step
+
     def test_compute_reference(self, small_cfg):
-        cfg = dataclasses.replace(small_cfg, t_seed=1.0, t_f=3.0, n_steps=20)
-        with pytest.raises(OverflowGuardError) as info:
-            compute_reference(cfg, self.growth)
-        assert info.value.step is not None and 1 <= info.value.step <= cfg.n_steps
+        self.names_grid_point(small_cfg, compute_reference)
+
+    def test_oracle_propagators(self, small_cfg):
+        self.names_grid_point(small_cfg, oracle_propagators)
+
+
+class TestSegmentMemo:
+    @staticmethod
+    def counted(gen):
+        """gen with its grid wrapped to count A evaluations."""
+        calls = [0]
+
+        def grid(ts):
+            calls[0] += len(ts)
+            return gen.grid(ts)
+
+        return dataclasses.replace(gen, grid=grid), calls
+
+    def test_seed_segment_integrated_once(self, small_cfg):
+        cfg = dataclasses.replace(small_cfg, t_seed=1.0, t_f=1.2, n_steps=20)
+        nsub = cfg.seed_substeps
+        assert sum(m for *_, m in seed_segments(cfg.t_seed, cfg.step_size, nsub)) == nsub
+        gen, calls = self.counted(synthetic_generator(3, seed=2, smoothness=0.4))
+        seed_factors(gen, cfg.t_seed, cfg.step_size, nsub=nsub)
+        compute_reference(cfg, gen)
+        oracle_propagators(cfg, gen)
+        # every substep's start and midpoint, once
+        assert calls[0] == 2 * (nsub + cfg.n_steps * cfg.ref_refine)
+
+    def test_copy_starts_empty(self):
+        gen = synthetic_generator(3, seed=2, smoothness=0.4)
+        segments = [(0.0, 1.0, 4, 50)]
+        first = step_products(gen, segments)
+        assert gen == dataclasses.replace(gen)
+        assert hash(gen) == hash(dataclasses.replace(gen))
+        doubled = dataclasses.replace(gen, matrix=lambda t: 2.0 * gen(t),
+                                      grid=lambda ts: 2.0 * gen.matrix_grid(ts))
+        fresh = Generator(dim=3, matrix=doubled.matrix, grid=doubled.grid)
+        d = step_products(doubled, segments)
+        assert np.array_equal(d, step_products(fresh, segments))
+        assert not np.allclose(d, first)
+
+    @pytest.mark.parametrize("segments", [[(0.0, 1.0, 4, 50)],
+                                          [(0.0, 1.0, 4, 50), (1.0, 1.5, 1, 20)]],
+                             ids=["one", "two"])
+    def test_result_does_not_alias_memo(self, segments):
+        gen = synthetic_generator(3, seed=2, smoothness=0.4)
+        first = step_products(gen, segments)
+        kept = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(step_products(gen, segments), kept)
+
+    def test_reference_continues_seeding(self, small_cfg):
+        gen = synthetic_generator(3, seed=2, smoothness=0.4)
+        cfg = dataclasses.replace(small_cfg, t_seed=1.0, t_f=1.2, n_steps=20)
+        v0 = initial_state(gen.dim)
+        segments = seed_segments(cfg.t_seed, cfg.step_size, cfg.seed_substeps)
+        at_seed = apply_step_products(step_products(gen, segments), v0)[-1]
+        assert np.array_equal(compute_reference(cfg, gen).states[1], at_seed)
+
+    def test_seeding_after_reference(self, small_cfg):
+        cfg = dataclasses.replace(small_cfg, t_seed=1.0, t_f=1.2, n_steps=20)
+        model = synthetic_generator(3, seed=2, smoothness=0.4)
+        gen = dataclasses.replace(model)
+        compute_reference(cfg, gen)
+        args = (cfg.t_seed, cfg.step_size, cfg.seed_substeps)
+        for shared, alone in zip(seed_factors(gen, *args),
+                                 seed_factors(dataclasses.replace(model), *args)):
+            assert all(np.array_equal(getattr(shared, name), getattr(alone, name))
+                       for name in ("u", "v", "tilde", "sigma1", "t"))
