@@ -5,16 +5,16 @@ classical reference in 50-step windows (expected: non-decreasing in time)."""
 import argparse
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
 from svdflow.config import RunConfig, build_generator
-from svdflow.odeflow import seed_factors
 from svdflow.qsim import NoiseSpec
-from svdflow.runner import compute_reference, run_qsvd
+from svdflow.runner import run_qsvd
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--members", type=int, default=12)
     parser.add_argument("--shots", type=int, default=10**5)
@@ -24,21 +24,18 @@ def main():
     parser.add_argument("--window", type=int, default=50)
     parser.add_argument("--seed-base", type=int, default=4000)
     parser.add_argument("--out", help="write window means as JSON here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     noise = NoiseSpec(p1=args.p1, p2=args.p2, p_ro=args.pro)
     cfg = RunConfig(mode="noisy", noise=noise, n_shots=args.shots).validate()
     if cfg.n_steps % args.window != 0:
         parser.error("window must divide n_steps")
     gen = build_generator(cfg)
-    seeds = seed_factors(gen, cfg.t_seed, cfg.step_size,
-                         nsub=cfg.seed_substeps, tol_degen=cfg.tol_degen)
-    reference = compute_reference(cfg, gen)
 
     devs = []
     for k in range(args.members):
         run_cfg = dataclasses.replace(cfg, rng_seed=args.seed_base + k)
-        res = run_qsvd(run_cfg, gen, seeds, reference)
+        res = run_qsvd(run_cfg, gen)
         devs.append(np.abs(res.rows[:, 3] - res.rows[:, 1]))
         print(f"member {k:2d}: max |dP_D| = {devs[-1].max():.4f}")
 
@@ -51,7 +48,8 @@ def main():
             json.dump({"window_means": windows.tolist(),
                        "non_decreasing": bool(np.all(np.diff(windows) >= 0.0))},
                       fh, indent=2)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

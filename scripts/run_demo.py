@@ -5,11 +5,10 @@ gnuplot script for the population curves."""
 
 import argparse
 import dataclasses
-import json
 import pathlib
+import sys
 
 from svdflow.config import RunConfig, build_generator
-from svdflow.odeflow import seed_factors
 from svdflow.runner import compute_reference, run_qsvd, write_csv, write_json
 
 GNUPLOT = """\
@@ -24,12 +23,12 @@ pause -1
 """
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="demo_out")
     parser.add_argument("--shots", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=1234)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -37,14 +36,12 @@ def main():
     cfg = RunConfig(n_shots=args.shots, rng_seed=args.seed).validate()
     gen = build_generator(cfg)
     print(f"seeding at t = {cfg.t_seed} au (h = {cfg.step_size:.3f}) ...")
-    seeds = seed_factors(gen, cfg.t_seed, cfg.step_size,
-                         nsub=cfg.seed_substeps, tol_degen=cfg.tol_degen)
     reference = compute_reference(cfg, gen)
     write_csv(outdir / "reference.csv", reference.columns, reference.rows)
 
     for mode in ("exact", "sampled"):
         run_cfg = dataclasses.replace(cfg, mode=mode)
-        result = run_qsvd(run_cfg, gen, seeds, reference)
+        result = run_qsvd(run_cfg, gen, reference=reference)
         write_csv(outdir / f"{mode}.csv", result.columns, result.rows)
         write_json(outdir / f"{mode}.summary.json", result.summary)
         print(f"{mode:8s} max |dP_D| = {result.summary['max_abs_dP_D']:.3e}  "
@@ -52,7 +49,8 @@ def main():
 
     (outdir / "plot.gp").write_text(GNUPLOT)
     print(f"outputs in {outdir}/ (gnuplot plot.gp to view)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,15 +5,15 @@ terminal population deviation scales (expected log-log slope: -1/2)."""
 import argparse
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
 from svdflow.config import RunConfig, build_generator
-from svdflow.odeflow import seed_factors
-from svdflow.runner import compute_reference, run_qsvd
+from svdflow.runner import run_qsvd
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shots", type=int, nargs="+",
                         default=[10**4, 10**5, 10**6])
@@ -21,13 +21,10 @@ def main():
                         help="number of RNG seeds per shot count")
     parser.add_argument("--seed-base", type=int, default=1000)
     parser.add_argument("--out", help="write the sweep table as JSON here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg = RunConfig().validate()
     gen = build_generator(cfg)
-    seeds = seed_factors(gen, cfg.t_seed, cfg.step_size,
-                         nsub=cfg.seed_substeps, tol_degen=cfg.tol_degen)
-    reference = compute_reference(cfg, gen)
 
     table = []
     for n_shots in args.shots:
@@ -36,7 +33,7 @@ def main():
             run_cfg = dataclasses.replace(cfg, mode="sampled",
                                           n_shots=n_shots,
                                           rng_seed=args.seed_base + k)
-            res = run_qsvd(run_cfg, gen, seeds, reference)
+            res = run_qsvd(run_cfg, gen)
             vals.append(abs(res.rows[-1, 3] - res.rows[-1, 1]))
         table.append({"n_shots": n_shots,
                       "mean_terminal_dP_D": float(np.mean(vals)),
@@ -51,7 +48,8 @@ def main():
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"slope": float(slope), "table": table}, fh, indent=2)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

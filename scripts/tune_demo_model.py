@@ -9,15 +9,14 @@ defaults come from this sweep.
 """
 
 import argparse
-import dataclasses
 import itertools
+import sys
 
 import numpy as np
 
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import NumericalGuardError
-from svdflow.odeflow import seed_factors
-from svdflow.runner import compute_reference, oracle_propagators, run_qsvd
+from svdflow.runner import oracle_propagators, run_qsvd
 from svdflow.svdeom import reconstruct_phi
 
 
@@ -25,10 +24,7 @@ def evaluate(params, budget):
     cfg = RunConfig(model_params=params).validate()
     gen = build_generator(cfg)
     try:
-        seeds = seed_factors(gen, cfg.t_seed, cfg.step_size,
-                             nsub=cfg.seed_substeps, tol_degen=cfg.tol_degen)
-        reference = compute_reference(cfg, gen)
-        result = run_qsvd(cfg, gen, seeds, reference)
+        result = run_qsvd(cfg, gen)
     except NumericalGuardError as exc:
         return {"ok": False, "reason": f"{type(exc).__name__}: {exc}"}
     oracles = oracle_propagators(cfg, gen)
@@ -43,7 +39,7 @@ def evaluate(params, budget):
             "max_dP_D": result.summary["max_abs_dP_D"]}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budget", type=float, default=1e-4,
                         help="max allowed factor-flow propagator error")
@@ -52,7 +48,7 @@ def main():
     parser.add_argument("--tau", type=float, nargs="+",
                         default=[0.006, 0.012, 0.05],
                         help="burst decay times to try")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     best = None
     for k0, tau in itertools.product(args.k0, args.tau):
@@ -72,11 +68,12 @@ def main():
 
     if best is None:
         print("no candidate satisfied all guards")
-        raise SystemExit(1)
+        return 1
     print("\nbest candidate:", best[0])
     print(f"flow error {best[1]['flow_err']:.2e}, "
           f"max |dP_D| {best[1]['max_dP_D']:.2e}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -88,8 +88,8 @@ class RunConfig:
             raise ConfigError("n_steps must be >= 3 (extrapolation history)")
         if self.t_seed - 2 * self.step_size <= 0:
             raise ConfigError("t_seed - 2h must be positive for seeding")
-        if self.n_shots < 1:
-            raise ConfigError("n_shots must be >= 1")
+        if not 1 <= self.n_shots < 2**63:  # the sampler draws int64 counts
+            raise ConfigError(f"n_shots must be in [1, 2**63 - 1], got {self.n_shots}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed_substeps < 3 or self.ref_refine < 1:
@@ -186,9 +186,3 @@ def _apply_mapping(cfg: RunConfig, data: dict) -> RunConfig:
         return dataclasses.replace(cfg, **updates)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["noise"] = {"p1": cfg.noise.p1, "p2": cfg.noise.p2, "p_ro": cfg.noise.p_ro}
-    return out

@@ -6,15 +6,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import MODES, RunConfig, build_generator, config_as_dict
-from .errors import ConfigError, OverflowGuardError, SvdFlowError
+from .config import RunConfig, build_generator
+from .errors import OverflowGuardError, SvdFlowError
 from .odeflow import (Generator, apply_step_products, seed_factors, seed_segments,
                       step_products)
-from .qsim import NoiseSpec, ShotPlan, derive_rng, dilation_stack, qsvd_step
+from .qsim import ShotPlan, derive_rng, dilation_stack, qsvd_step
 from .svdeom import SvdFactors, reconstruct_phi, sigma_plus, snapshot_from_arrays
 
 TRAJECTORY_COLUMNS = (
@@ -99,29 +100,35 @@ class QsvdRunResult:
     factors: list         # SvdFactors at every grid point
 
 
-def _tabulate(cfg: RunConfig, plan: ShotPlan | None, p_ref: np.ndarray,
-              block: list, steps: list[int]) -> np.ndarray:
-    """CSV rows of the factor states `block` at the grid points `steps`, in
-    one pass. With cfg.dilation a measured run reads the acceptance rates off
-    the block's dilation circuits, run as one stack (grid point k draws from
-    derive_rng(rng_seed, k, 3) and a failure carries k), else off Phi v0.
+def _tabulate(cfg: RunConfig, plan: ShotPlan | None, ref_grid: np.ndarray,
+              factors: list) -> np.ndarray:
+    """CSV rows of the factor states at grid points 0 .. len(factors) - 1,
+    one stacked pass per GRID_BLOCK of them. With cfg.dilation a measured run
+    reads the acceptance rates off the block's dilation circuits, run as one
+    stack (grid point k draws from derive_rng(rng_seed, k, 3) and a failure
+    carries k), else off Phi v0; so the earliest starved dilation raises.
     Acceptance and orthogonality are reduced per point as 1-d dots with a
     float sigma1**2, as a point alone reduces them, to keep every byte."""
-    f = SvdFactors(*(np.array([getattr(x, name) for x in block])
-                     for name in ("u", "v", "tilde", "sigma1", "t")))
-    v0 = initial_state(f.dim)
-    p_q = reconstruct_phi(f) @ v0
-    if cfg.dilation and plan is not None:
-        acc = dilation_stack(v0, block, plan, [derive_rng(cfg.rng_seed, k, 3)
-                                               for k in steps], steps).acceptance_rate
-    else:
-        acc = [p @ p / x.sigma1**2 for p, x in zip(p_q, block)]
-    uv = np.stack([f.u, f.v])
-    defects = (uv.mT @ uv - np.eye(f.dim)).reshape(2 * len(block), -1)
-    ortho = np.sqrt([d @ d for d in defects]).reshape(2, -1)
-    sigma_err = np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0), axis=-1)
-    return np.column_stack([f.t, p_ref[:, :2], p_q[:, :2], f.sigma1, *ortho,
-                            sigma_err, acc])
+    table = []
+    for start in range(0, len(factors), GRID_BLOCK):
+        block = factors[start:start + GRID_BLOCK]
+        steps = range(start, start + len(block))
+        f = SvdFactors(*(np.array([getattr(x, name) for x in block])
+                         for name in ("u", "v", "tilde", "sigma1", "t")))
+        v0 = initial_state(f.dim)
+        p_q = reconstruct_phi(f) @ v0
+        if cfg.dilation and plan is not None:
+            acc = dilation_stack(v0, block, plan, [derive_rng(cfg.rng_seed, k, 3)
+                                                   for k in steps], steps).acceptance_rate
+        else:
+            acc = [p @ p / x.sigma1**2 for p, x in zip(p_q, block)]
+        uv = np.stack([f.u, f.v])
+        defects = (uv.mT @ uv - np.eye(f.dim)).reshape(2 * len(block), -1)
+        ortho = np.sqrt([d @ d for d in defects]).reshape(2, -1)
+        sigma_err = np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0), axis=-1)
+        table.append(np.column_stack([f.t, ref_grid[steps, :2],
+                                      p_q[:, :2], f.sigma1, *ortho, sigma_err, acc]))
+    return np.concatenate(table)
 
 
 def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
@@ -130,25 +137,16 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     """Seed, propagate the SVD factors over [t_seed, t_f], and tabulate
     populations against the classical reference.
 
-    Every fidelity mode runs the same step loop over `qsvd_step`; the mode
-    is read here alone, as its ShotPlan: none for "exact", a noise-free one
-    for "sampled", one with cfg.noise for "noisy" (`RunConfig.validate`
-    rejects a nonzero cfg.noise in the other modes).
-
-    Grid points are tabulated in blocks of GRID_BLOCK (`_tabulate`): grid
-    point k is queued once the loop has built its factor state, and every
-    GRID_BLOCK queued points get their rows, dilation circuits included, in
-    one stacked pass, each dilation circuit drawing its grid point's own
-    stream, so a block cut short draws the counts of the full block. When
-    the loop raises a guard error, the queued block is tabulated first: its
-    grid points precede the failure, so the earliest of its errors is raised
-    in its place. Guard errors carry the step they tripped at.
+    `cfg` is validated first. Every fidelity mode runs the same step loop
+    over `qsvd_step`, under its ShotPlan: none for "exact", else one with
+    cfg.noise (zero outside "noisy"). The loop only steps; `_tabulate` then
+    reads the grid points out, also those built before a guard error, so an
+    earlier starved dilation is raised in its place. Guard errors carry the
+    step they tripped at.
     """
     t_start = time.perf_counter()
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    plan = None if cfg.mode == "exact" else ShotPlan(
-        cfg.n_shots, cfg.noise if cfg.mode == "noisy" else NoiseSpec())
+    cfg.validate()
+    plan = None if cfg.mode == "exact" else ShotPlan(cfg.n_shots, cfg.noise)
     gen = build_generator(cfg) if gen is None else gen
     h = cfg.step_size
     if seeds is None:
@@ -161,22 +159,7 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     history = [snapshot_from_arrays(f.u, f.tilde, gen, f.t, cfg.tol_degen, cfg.tol_sat)
                for f in seeds[:2]]
     factors = [seeds[2]]
-    blocks, queue = [], []  # queue: grid points not yet tabulated
-
-    def flush():
-        steps = queue.copy()
-        queue.clear()
-        if steps:
-            blocks.append(_tabulate(cfg, plan, ref_grid[steps],
-                                    [factors[k] for k in steps], steps))
-
-    def record(k):
-        queue.append(k)
-        if len(queue) == GRID_BLOCK:
-            flush()
-
     try:
-        record(0)
         for i in range(cfg.n_steps):
             state, snap = qsvd_step(
                 factors[-1], history, gen, h, plan, master_seed=cfg.rng_seed,
@@ -184,13 +167,11 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
                 tol_sat=cfg.tol_sat)
             history = [history[1], snap]
             factors.append(state)
-            record(i + 1)
-        flush()
     except SvdFlowError:
-        flush()
+        _tabulate(cfg, plan, ref_grid, factors)
         raise
 
-    table = np.concatenate(blocks)
+    table = _tabulate(cfg, plan, ref_grid, factors)
     dpd = np.abs(table[:, 3] - table[:, 1])
     dpa = np.abs(table[:, 4] - table[:, 2])
     summary = {
@@ -203,7 +184,7 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         "max_abs_dP_A": float(dpa.max()),
         "mean_abs_dP_A": float(dpa.mean()),
         "wall_time_s": time.perf_counter() - t_start,
-        "config": config_as_dict(cfg),
+        "config": asdict(cfg),
     }
     return QsvdRunResult(columns=TRAJECTORY_COLUMNS, rows=table,
                          summary=summary, factors=factors)
@@ -223,12 +204,17 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Header and data of a CSV; ValueError when the data rows are not as
-    wide as the header."""
-    with open(path) as fh:
+    """Header and data of a CSV; ValueError when it has no data rows, a
+    non-finite value, or data rows not as wide as the header."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data: raised below
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size and data.shape[1] != len(header):
+    if not data.size:
+        raise ValueError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
         raise ValueError(f"{path}: {len(header)} header columns but "
                          f"{data.shape[1]} data columns")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value")
     return header, data

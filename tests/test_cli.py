@@ -122,6 +122,20 @@ class TestCli:
         assert record["error"] == "ConfigError"
         assert "malformed CSV" in record["message"]
 
+    @pytest.mark.parametrize("body,problem", [("", "no data rows"),
+                                              ("0,1\n1,nan\n", "non-finite")])
+    def test_compare_rejects_empty_and_non_finite_csvs(self, tmp_path, capsys,
+                                                       body, problem):
+        # svdflow writes neither; a header alone made numpy warn, and a NaN
+        # went into the metrics as a token JSON does not have
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,P_D_ref\n{body}")
+        assert main(["compare", str(bad), str(bad)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "malformed CSV" in record["message"]
+        assert problem in record["message"]
+
     @pytest.mark.parametrize("missing", [True, False])
     def test_compare_output_failure_is_a_config_error(self, tmp_path, capsys,
                                                       missing):
@@ -179,6 +193,9 @@ class TestCli:
         {"tol_degen": -1},
         {"tol_sat": float("nan")},
         {"tol_sat": 2.0},
+        # more shots than an int64 count holds: an OverflowError from the
+        # sampler (exit 1)
+        {"n_shots": 10**20, "mode": "sampled"},
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, extra)

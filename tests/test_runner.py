@@ -164,6 +164,9 @@ def test_sampled_mode_rejects_configured_noise(small_cfg):
     for mode in ("sampled", "exact"):
         with pytest.raises(ConfigError, match="mode"):
             dataclasses.replace(cfg, mode=mode, noise=noise).validate()
+        # run_qsvd validates too, where it would run without the noise
+        with pytest.raises(ConfigError, match=f"'{mode}'"):
+            run_qsvd(dataclasses.replace(cfg, mode=mode, noise=noise))
     # the same spec does act in noisy mode
     plain = run_qsvd(cfg)
     noisy = run_qsvd(dataclasses.replace(cfg, mode="noisy", noise=noise).validate())
@@ -194,19 +197,25 @@ def test_unknown_mode_is_a_config_error(small_cfg):
     assert excinfo.value.step is None
 
 
-# Earliest error: the dilations queued when the step loop raises run first,
-# and the earliest of their failures is raised instead. The rng seed is the
-# smallest >= 8 whose one-shot run first fails on a dilation that keeps no
-# shot at a grid point in 4..7: at seed 16 that is grid point 6
-# (tests/test_cli.py names the same step from the command line).
+# Earliest error: the grid points built when the step loop raises are
+# tabulated first, and the earliest of their dilation failures is raised
+# instead. The rng seed is the smallest >= 8 whose one-shot run first fails on
+# a dilation that keeps no shot at a grid point in 4..7: at seed 16 that is
+# grid point 6 (tests/test_cli.py names the same step from the command line).
+# The 50-step horizon keeps small_cfg's step size, and with it the first 21
+# grid points, so that a guard planted past the first block can fire. A
+# dilation failure is raised over the loop's, which the loop reached.
 
 @pytest.mark.parametrize("fail_at,shots,want", [
-    (8, 1, (PostSelectionStarvedError, 6)),    # starved dilation 6 still queued
+    (8, 1, (PostSelectionStarvedError, 6)),    # starved dilation 6 precedes it
+    (40, 1, (PostSelectionStarvedError, 6)),   # ... by more than one block
     (3, 1, (StepFailureError, 3)),             # the guard precedes grid point 6
-    (8, 10_000, (StepFailureError, 8)),        # no queued dilation fails
+    (8, 10_000, (StepFailureError, 8)),        # no dilation before it fails
 ])
 def test_earliest_error_wins(small_cfg, monkeypatch, fail_at, shots, want):
-    cfg = measured_demo_cfg(small_cfg, n_shots=shots, rng_seed=16)
+    cfg = measured_demo_cfg(small_cfg, t_f=small_cfg.t_seed + 50 * small_cfg.step_size,
+                            n_steps=50, n_shots=shots, rng_seed=16)
+    assert cfg.step_size == small_cfg.step_size
 
     def failing_step(state, *args, step_index, **kwargs):
         if step_index == fail_at:
@@ -217,3 +226,5 @@ def test_earliest_error_wins(small_cfg, monkeypatch, fail_at, shots, want):
     with pytest.raises(SvdFlowError) as excinfo:
         run_qsvd(cfg)
     assert (type(excinfo.value), excinfo.value.step) == want
+    if want[0] is PostSelectionStarvedError:
+        assert excinfo.value.__context__.step == fail_at

@@ -60,3 +60,46 @@ def test_flow_digest_ignores_the_reference(tmp_path, capsys, monkeypatch):
     before, after = (line.split() for line in capsys.readouterr().out.splitlines()[::2])
     assert before[2] != after[2]
     assert before[3] == after[3]
+
+
+# Smoke runs of the other scripts on small arguments (the default demo
+# config, 400 steps).
+
+def test_noise_ensemble(tmp_path, capsys):
+    out = tmp_path / "windows.json"
+    script = load_script("noise_ensemble")
+    assert script.main(["--members", "1", "--shots", "1000", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("member  0: max |dP_D| = ")
+    windows = json.loads(out.read_text())
+    assert len(windows["window_means"]) == 400 // 50
+
+
+def test_shot_noise_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    script = load_script("shot_noise_sweep")
+    assert script.main(["--shots", "1000", "10000", "--seeds", "1", "--out", str(out)]) == 0
+    assert "log-log slope" in capsys.readouterr().out
+    sweep = json.loads(out.read_text())
+    assert [row["n_shots"] for row in sweep["table"]] == [1000, 10000]
+    assert all(row["std_terminal_dP_D"] == 0.0 for row in sweep["table"])
+
+
+def test_tune_demo_model(capsys):
+    script = load_script("tune_demo_model")
+    assert script.main(["--k0", "8.5", "--tau", "0.012"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("OK  k0=  8.50 tau= 0.012  flow_err=")
+    assert "best candidate: {'k0_da': 8.5, 'k0_ad': 4.25" in out
+
+
+def test_run_demo(tmp_path):
+    script = load_script("run_demo")
+    assert script.main(["--shots", "1000", "--outdir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "exact.csv", "exact.summary.json", "plot.gp", "reference.csv",
+        "sampled.csv", "sampled.summary.json"]
+    for mode in ("exact", "sampled"):
+        assert len((tmp_path / f"{mode}.csv").read_text().splitlines()) == 1 + 401
+        summary = json.loads((tmp_path / f"{mode}.summary.json").read_text())
+        assert (summary["mode"], summary["n_shots"]) == (mode, 1000)
+    assert json.loads((tmp_path / "exact.summary.json").read_text())["max_abs_dP_D"] <= 1e-3
