@@ -208,9 +208,9 @@ def test_unknown_mode_is_a_config_error(small_cfg):
 
 @pytest.mark.parametrize("fail_at,shots,want", [
     (8, 1, (PostSelectionStarvedError, 6)),    # starved dilation 6 precedes it
-    (40, 1, (PostSelectionStarvedError, 6)),   # ... by more than one block
     (3, 1, (StepFailureError, 3)),             # the guard precedes grid point 6
     (8, 10_000, (StepFailureError, 8)),        # no dilation before it fails
+    (40, 1, (PostSelectionStarvedError, 6)),   # dilation 6 precedes it by more than one block
 ])
 def test_earliest_error_wins(small_cfg, monkeypatch, fail_at, shots, want):
     cfg = measured_demo_cfg(small_cfg, t_f=small_cfg.t_seed + 50 * small_cfg.step_size,
