@@ -79,6 +79,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _TYPE_CHECKS.get(f.type, lambda v: True)(value):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if not all(abs(v) < float("inf") for v in self.model_params.values()):  # NaN fails
+            raise ConfigError(f"model parameters must be finite, got {self.model_params}")
         if not 0 < self.t_seed < self.t_f < float("inf"):  # NaN fails
             raise ConfigError(f"need finite 0 < t_seed < t_f, got {self.t_seed}, {self.t_f}")
         if not (0 < self.tol_degen < 1 and 0 < self.tol_sat < 1):

@@ -48,20 +48,15 @@ DEFAULT_DEMO_MODEL = RateModel(
 
 
 def two_state_generator(m: RateModel) -> Generator:
-    """Population rate matrix [[-k_da, k_ad], [k_da, -k_ad]]; columns sum to
-    zero at every time, so total population is conserved."""
+    """Population rate matrix [[-k_da, k_ad], [k_da, -k_ad]], stacked on an
+    array of times; columns sum to zero, so total population is conserved."""
 
     def matrix(t):
         k_da = m.donor_to_acceptor.rate(t)
         k_ad = m.acceptor_to_donor.rate(t)
-        return np.array([[-k_da, k_ad], [k_da, -k_ad]])
+        return np.stack([-k_da, k_ad, k_da, -k_ad], axis=-1).reshape(*np.shape(t), 2, 2)
 
-    def grid(ts):
-        k_da = m.donor_to_acceptor.rate(ts)
-        k_ad = m.acceptor_to_donor.rate(ts)
-        return np.stack([-k_da, k_ad, k_da, -k_ad], axis=-1).reshape(-1, 2, 2)
-
-    return Generator(dim=2, matrix=matrix, grid=grid)
+    return Generator(dim=2, matrix=matrix)
 
 
 def analytic_two_state(k_da: float, k_ad: float, t: float) -> tuple[float, float]:
@@ -75,27 +70,26 @@ def analytic_two_state(k_da: float, k_ad: float, t: float) -> tuple[float, float
 
 def synthetic_generator(n: int, seed: int, smoothness: float,
                         omega: float = 0.7, decay: float = 2.0) -> Generator:
-    """Seeded random generator A(t) = A0 + smoothness*(A1 sin(wt) + A2 e^{-t/decay})."""
+    """Seeded random generator A(t) = A0 + smoothness*(A1 sin(wt) + A2 e^{-t/decay}),
+    stacked on an array of times."""
     if n < 2:
         raise InvalidInputError("dimension must be >= 2")
+    if decay == 0:
+        raise InvalidInputError("decay must be nonzero")
     rng = np.random.default_rng(seed)
     a0, a1, a2 = (rng.standard_normal((n, n)) for _ in range(3))
 
     def matrix(t):
-        return a0 + smoothness * (a1 * np.sin(omega * t) + a2 * np.exp(-t / decay))
-
-    def grid(ts):
-        ts = np.asarray(ts, dtype=float)[:, None, None]
-        # the bytes of matrix(t), computed in place with fewer temporaries
-        out = a1 * np.sin(omega * ts)
-        out += a2 * np.exp(-ts / decay)
+        t = np.asarray(t, dtype=float)[..., None, None]
+        # computed in place, with fewer temporaries on a grid of times
+        out = a1 * np.sin(omega * t)
+        out += a2 * np.exp(-t / decay)
         return np.add(a0, np.multiply(smoothness, out, out=out), out=out)
 
-    return Generator(dim=n, matrix=matrix, grid=grid)
+    return Generator(dim=n, matrix=matrix)
 
 
 def skew_generator(n: int, seed: int, smoothness: float = 0.0) -> Generator:
     """Skew-projected synthetic generator; its exact flow is orthogonal."""
     base = synthetic_generator(n, seed, smoothness)
-    return Generator(dim=n, matrix=lambda t: skew_part(base(t)),
-                     grid=lambda ts: skew_part(base.matrix_grid(ts)))
+    return Generator(dim=n, matrix=lambda t: skew_part(base(t)))

@@ -22,7 +22,7 @@ the reference the kernel is tested against.
 Each segment's deviations are memoized on the `Generator` that evaluated
 them, keyed by the segment. Seeding and the reference both start with the
 `seed_segments` grid, so [0, t_seed] is integrated once per generator. The
-memo is only sound because `matrix` and `grid` are pure functions of t.
+memo is only sound because `matrix` is a pure function of t.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSingularValuesError, InvalidInputError, OverflowGuardError
+from .errors import InvalidInputError, OverflowGuardError
 from .matcore import svd
-from .svdeom import DEFAULT_TOL_DEGEN, SvdFactors
+from .svdeom import DEFAULT_TOL_DEGEN, SvdFactors, check_gaps
 
 # Generator entries evaluated per chunk of substeps. Fixed, so memory stays
 # flat however many substeps an interval holds.
@@ -43,33 +43,25 @@ CHUNK_ELEMENTS = 2**13
 
 @dataclass(frozen=True)
 class Generator:
-    """Evaluable time-dependent coefficient matrix A(t), shape (dim, dim).
+    """Evaluable time-dependent coefficient matrix A(t).
 
-    `grid`, when given, evaluates A on an array of times at once,
-    (T,) -> (T, dim, dim), and must return exactly what `matrix` returns at
-    each time. Without it, `matrix_grid` stacks scalar calls. A copy made by
-    `dataclasses.replace(gen, matrix=...)` keeps `grid`, so the new matrix
-    must still agree with it.
+    `matrix` is the one evaluator: a float t gives A(t), shape (dim, dim),
+    and a 1-d array of T times gives them all, shape (T, dim, dim). The
+    snapshots call it at one time, `step_products` on chunks of times.
 
     `step_products` memoizes each segment's deviations on the generator, so
-    `matrix` and `grid` must be pure functions of t. The memo takes no part
-    in equality, hashing or repr, and a `dataclasses.replace` copy starts
-    with an empty one.
+    `matrix` must be a pure function of t. The memo takes no part in
+    equality, hashing or repr, and a `dataclasses.replace` copy starts with
+    an empty one.
     """
 
     dim: int
-    matrix: Callable[[float], np.ndarray]
-    grid: Callable[[np.ndarray], np.ndarray] | None = None
+    matrix: Callable[[float | np.ndarray], np.ndarray]
     _segment_memo: dict = field(default_factory=dict, init=False, compare=False,
                                 repr=False)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
         return self.matrix(t)
-
-    def matrix_grid(self, ts: np.ndarray) -> np.ndarray:
-        if self.grid is not None:
-            return self.grid(ts)
-        return np.array([self.matrix(t) for t in ts], dtype=float)
 
 
 def propagator(a: Generator, t0: float, t1: float, nsteps: int,
@@ -99,7 +91,12 @@ def _deviations(a: Generator, ts: np.ndarray, h: float) -> np.ndarray:
     """D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t) for every substep start t.
     A is sampled on two grids: in some heap layouts the temporaries of one
     joint grid were refaulted on every chunk of a set-up."""
-    start, mid = a.matrix_grid(ts), a.matrix_grid(ts + h / 2.0)
+    start, mid = a(ts), a(ts + h / 2.0)
+    for out in (start, mid):
+        if np.shape(out) != (len(ts), a.dim, a.dim):
+            raise InvalidInputError(
+                f"A(t) on {len(ts)} times has shape {np.shape(out)}, not "
+                f"{(len(ts), a.dim, a.dim)}: it must accept an array of times")
     return h * mid + (h * h / 2.0) * (mid @ start)
 
 
@@ -157,11 +154,11 @@ def step_products(a: Generator,
     result stacks every segment's intervals in order, shape (K, dim, dim),
     with Phi(end of interval k) = (I + D_k) Phi(start of interval k).
 
-    A is evaluated on whole chunks of substeps through `a.matrix_grid`. A
-    chunk's product is checked for finiteness once: inf and nan persist
-    through products, so this catches any overflow a per-substep check
-    would. The first non-finite interval k raises OverflowGuardError with
-    step=k.
+    A is evaluated as a(ts) on whole chunks of substep times; a result not
+    shaped (len(ts), dim, dim) raises InvalidInputError. A chunk's product
+    is checked for finiteness once: inf and nan persist through products,
+    so this catches any overflow a per-substep check would. The first
+    non-finite interval k raises OverflowGuardError with step=k.
 
     A segment's deviations are computed once per generator and memoized on
     it, read-only; the result is always a fresh array.
@@ -197,17 +194,6 @@ def apply_step_products(d: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_seed_gaps(s: np.ndarray, t: float, tol_degen: float):
-    rel = np.abs(s[:, None] - s[None, :]) / s[0]
-    gaps = rel[np.triu_indices(len(s), k=1)]
-    if gaps.size and gaps.min() < tol_degen:
-        raise DegenerateSingularValuesError(
-            f"seed propagator at t={t:g} has near-degenerate singular values "
-            f"(relative gap {gaps.min():.3e} < {tol_degen:.3e}); "
-            "increase the seed time so the flow separates them"
-        )
-
-
 def seed_segments(t_seed: float, h: float, nsub: int) -> tuple:
     """The seeding grid: [0, t_seed] split at t_seed - 2h and t_seed - h,
     one interval per segment, with nsub substeps distributed in proportion
@@ -233,9 +219,8 @@ def seed_factors(a: Generator, t_seed: float, h: float, nsub: int = 500,
     """
     segments = seed_segments(t_seed, h, nsub)
     phis = apply_step_products(step_products(a, segments), np.eye(a.dim))
-    out = []
-    for phi, (_, t, _, _) in zip(phis, segments):
-        u, s, v = svd(phi)
-        _check_seed_gaps(s, t, tol_degen)
-        out.append(SvdFactors.from_svd(u, s, v, t))
-    return tuple(out)
+    seeds = tuple(SvdFactors.from_svd(*svd(phi), t)
+                  for phi, (_, t, _, _) in zip(phis, segments))
+    for f in seeds:
+        check_gaps(f.tilde, f.t, tol_degen)
+    return seeds

@@ -110,6 +110,16 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def check_gaps(tilde, t, tol_degen=DEFAULT_TOL_DEGEN) -> None:
+    """The degeneracy guard of seeding and of every snapshot: raise
+    DegenerateSingularValuesError if some |tz_i - tz_j| < tol_degen."""
+    gaps = np.abs(tilde[:, None] - tilde[None, :])[_upper_pairs(len(tilde))]
+    if gaps.size and gaps.min() < tol_degen:
+        raise DegenerateSingularValuesError(
+            f"singular-value gap {gaps.min():.3e} below tolerance {tol_degen:.3e} "
+            f"at t={t:g}")
+
+
 def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
                          tol_sat=DEFAULT_TOL_SAT) -> GeneratorSnapshot:
     """Build the generator snapshot from raw factor arrays.
@@ -120,13 +130,7 @@ def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
     """
     u = np.asarray(u, dtype=float)
     tilde = np.asarray(tilde, dtype=float)
-    upper = _upper_pairs(len(tilde))
-    gaps = np.abs(tilde[:, None] - tilde[None, :])[upper]
-    if gaps.size and gaps.min() < tol_degen:
-        raise DegenerateSingularValuesError(
-            f"singular-value gap {gaps.min():.3e} below tolerance {tol_degen:.3e} "
-            f"at t={t:g}"
-        )
+    check_gaps(tilde, t, tol_degen)
     if np.any(np.abs(tilde[1:]) > 1.0 - tol_sat):
         raise SigmaSaturationError(
             f"rescaled singular value within {tol_sat:.1e} of 1 at t={t:g}; "
@@ -134,7 +138,7 @@ def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
         )
     t2 = tilde**2
     den = t2[None, :] - t2[:, None]
-    if not den[upper].all():
+    if not den[_upper_pairs(len(tilde))].all():
         raise DegenerateSingularValuesError(
             f"rescaled singular values of equal modulus at t={t:g}")
     g = u.T @ a(t) @ u

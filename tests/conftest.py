@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from svdflow.config import RunConfig, build_generator
-from svdflow.odeflow import seed_factors
+from svdflow.odeflow import Generator, seed_factors
 from svdflow.runner import compute_reference, oracle_propagators, run_qsvd
 
 settings.register_profile(
@@ -56,6 +56,13 @@ def small_cfg():
     """A cheap non-default configuration for CLI round-trips."""
     return RunConfig(t_seed=5.0, t_f=50.0, n_steps=20, n_shots=10_000,
                      seed_substeps=2000, ref_refine=10).validate()
+
+
+def constant(m):
+    """The generator A(t) = m, at a time or broadcast on an array of times."""
+    m = np.asarray(m, dtype=float)
+    return Generator(dim=m.shape[0],
+                     matrix=lambda t: np.broadcast_to(m, np.shape(t) + m.shape))
 
 
 def random_factors(rng, n):

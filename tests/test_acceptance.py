@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_factors
+from conftest import constant, random_factors
 from svdflow import matcore
 from svdflow.cli import main
 from svdflow.config import RunConfig
-from svdflow.odeflow import Generator, seed_factors
+from svdflow.odeflow import seed_factors
 from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit, evolve_sigma_phase
 from svdflow.runner import oracle_propagators, run_qsvd
 from svdflow.svdeom import (
@@ -135,7 +135,7 @@ def test_criterion_5_scaling_invariance():
         n = int(rng.integers(2, 5))
         f = random_factors(rng, n)
         a = rng.standard_normal((n, n))
-        gen = Generator(dim=n, matrix=lambda t, a=a: a)
+        gen = constant(a)
         # keep the scaled entries inside the saturation guard corridor
         scale = rng.uniform(0.1, 0.95)
         s_raw = snapshot_from_arrays(f.u, f.tilde * scale, gen, 0.0)

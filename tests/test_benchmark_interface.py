@@ -16,7 +16,10 @@ import sys
 import numpy as np
 import pytest
 
+from svdflow.config import build_generator
+from svdflow.odeflow import seed_factors, seed_segments
 from svdflow.qsim import DilationResult, ShotPlan
+from svdflow.runner import compute_reference
 from svdflow.svdeom import reconstruct_phi
 
 LAYERS_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -71,3 +74,23 @@ def test_factor_fields_the_oracle_reads(demo_exact_run):
             assert hasattr(f, name), name
         phi = reconstruct_phi(f)
         assert np.linalg.norm((f.u * f.sigma) @ f.v.T - phi) <= 1e-12 * np.linalg.norm(phi)
+
+
+def test_matrix_copy_sees_every_evaluation(small_cfg):
+    # the tracer counts A(t) on dataclasses.replace(gen, matrix=counting):
+    # seeding and the reference evaluate A through that field, at every
+    # substep's start and midpoint
+    gen = build_generator(small_cfg)
+    sizes = []
+
+    def wrapped(t):
+        sizes.append(np.size(t))
+        return gen.matrix(t)
+
+    traced = dataclasses.replace(gen, matrix=wrapped)
+    args = (small_cfg.t_seed, small_cfg.step_size, small_cfg.seed_substeps)
+    seed_factors(traced, *args)
+    seeded = sum(sizes)
+    assert seeded == 2 * sum(m for *_, m in seed_segments(*args))
+    compute_reference(small_cfg, traced)
+    assert sum(sizes) - seeded == 2 * small_cfg.n_steps * small_cfg.ref_refine

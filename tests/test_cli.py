@@ -196,6 +196,14 @@ class TestCli:
         # more shots than an int64 count holds: an OverflowError from the
         # sampler (exit 1)
         {"n_shots": 10**20, "mode": "sampled"},
+        # non-finite model parameters (JSON reads NaN and Infinity) and a
+        # zero synthetic decay: each ran into an OverflowGuardError (exit 3)
+        {"model": {"params": {"k0_da": float("nan")}}},
+        {"model": {"params": {"tau_da": float("nan")}}},
+        {"model": {"params": {"kinf_ad": float("inf")}}},
+        {"model": {"name": "synthetic", "params": {"n": 2, "smoothness": float("nan")}}},
+        {"model": {"name": "synthetic", "params": {"n": 2, "omega": float("inf")}}},
+        {"model": {"name": "synthetic", "params": {"n": 2, "decay": 0}}},
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, extra)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import constant
 from svdflow import matcore
 from svdflow.errors import DegenerateSingularValuesError, InvalidInputError, OverflowGuardError
 from svdflow.models import (
@@ -22,11 +23,6 @@ from svdflow.odeflow import (
     step_products,
 )
 from svdflow.runner import compute_reference, initial_state, oracle_propagators
-
-
-def constant(m):
-    m = np.asarray(m, dtype=float)
-    return Generator(dim=m.shape[0], matrix=lambda t: m)
 
 
 def kernel_states(gen, v0, t0, t1, intervals, substeps=1):
@@ -95,8 +91,12 @@ class TestIntegrate:
         assert drift <= 5.0 * nsteps * h**3  # O(h^2) per step, accumulated
 
     def test_second_order_convergence(self):
-        gen = Generator(dim=2, matrix=lambda t: np.array(
-            [[-0.3, 0.2 * np.sin(t)], [0.1 * np.cos(t), -0.1]]))
+        def matrix(t):
+            t = np.asarray(t)
+            return np.stack([np.full_like(t, -0.3), 0.2 * np.sin(t), 0.1 * np.cos(t),
+                             np.full_like(t, -0.1)], axis=-1).reshape(*t.shape, 2, 2)
+
+        gen = Generator(dim=2, matrix=matrix)
         v0 = np.array([1.0, 0.5])
 
         def final(nsteps):
@@ -201,20 +201,13 @@ class TestStepProducts:
         d = step_products(gen, [(0.0, 1.0, 1, m)])
         assert rel_gap(np.eye(4) + d[0], propagator(gen, 0.0, 1.0, m)) <= 1e-13
 
-    def test_fallback_matches_grid(self):
-        gen = synthetic_generator(3, seed=2, smoothness=0.4)
-        scalar = dataclasses.replace(gen, grid=None)
-        segments = [(0.0, 1.0, 1, 500), (1.0, 2.0, 10, 7)]
-        assert np.array_equal(step_products(scalar, segments),
-                              step_products(gen, segments))
-
-    def test_constant_lambda_fallback(self):
+    def test_scalar_only_generator_rejected(self):
+        # A evaluated only at single times: step_products names the shape it
+        # got instead of failing in numpy broadcasting
         a = np.array([[-0.5, 0.3], [0.2, -0.1]])
-        gridded = Generator(dim=2, matrix=lambda t: a,
-                            grid=lambda ts: np.broadcast_to(a, (len(ts), 2, 2)))
-        segments = [(0.0, 1.0, 1, 400)]
-        assert np.array_equal(step_products(constant(a), segments),
-                              step_products(gridded, segments))
+        gen = Generator(dim=2, matrix=lambda t: a)
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 2\)"):
+            step_products(gen, [(0.0, 1.0, 1, 400)])
 
     @pytest.mark.parametrize("gen", [
         two_state_generator(DEFAULT_DEMO_MODEL),
@@ -222,8 +215,11 @@ class TestStepProducts:
         skew_generator(4, seed=7, smoothness=0.2),
     ], ids=["two_state", "synthetic", "skew"])
     def test_grid_evaluator_bit_identical(self, gen):
+        # A on an array of times, stacked, is A at each time, bit for bit
         ts = np.concatenate([np.linspace(0.0, 60.0, 997), [1e-3, 0.012, 1e4]])
-        assert np.array_equal(gen.matrix_grid(ts), np.array([gen(t) for t in ts]))
+        stacked = gen(ts)
+        assert stacked.shape == (len(ts), gen.dim, gen.dim)
+        assert all(np.array_equal(stacked[k], gen(float(t))) for k, t in enumerate(ts))
 
 
 class TestOverflowGuard:
@@ -271,14 +267,14 @@ class TestOverflowGuard:
 class TestSegmentMemo:
     @staticmethod
     def counted(gen):
-        """gen with its grid wrapped to count A evaluations."""
+        """gen with its matrix wrapped to count A evaluations, one per time."""
         calls = [0]
 
-        def grid(ts):
-            calls[0] += len(ts)
-            return gen.grid(ts)
+        def matrix(t):
+            calls[0] += np.size(t)
+            return gen.matrix(t)
 
-        return dataclasses.replace(gen, grid=grid), calls
+        return dataclasses.replace(gen, matrix=matrix), calls
 
     def test_seed_segment_integrated_once(self, small_cfg):
         cfg = dataclasses.replace(small_cfg, t_seed=1.0, t_f=1.2, n_steps=20)
@@ -297,9 +293,8 @@ class TestSegmentMemo:
         first = step_products(gen, segments)
         assert gen == dataclasses.replace(gen)
         assert hash(gen) == hash(dataclasses.replace(gen))
-        doubled = dataclasses.replace(gen, matrix=lambda t: 2.0 * gen(t),
-                                      grid=lambda ts: 2.0 * gen.matrix_grid(ts))
-        fresh = Generator(dim=3, matrix=doubled.matrix, grid=doubled.grid)
+        doubled = dataclasses.replace(gen, matrix=lambda t: 2.0 * gen(t))
+        fresh = Generator(dim=3, matrix=doubled.matrix)
         d = step_products(doubled, segments)
         assert np.array_equal(d, step_products(fresh, segments))
         assert not np.allclose(d, first)

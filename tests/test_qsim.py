@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_factors
+from conftest import constant, random_factors
 from svdflow import matcore, qsim
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import (
@@ -13,7 +13,7 @@ from svdflow.errors import (
     InvalidInputError,
     PostSelectionStarvedError,
 )
-from svdflow.odeflow import Generator, seed_factors
+from svdflow.odeflow import seed_factors
 from svdflow.qsim import (
     NoiseSpec,
     ShotPlan,
@@ -677,7 +677,7 @@ class TestQsvdStep:
     def test_null_dynamics_bounded_drift(self):
         # A = 0: the factors should random-walk around the seed without
         # tripping any guard over 400 sampled steps
-        gen = Generator(dim=2, matrix=lambda t: np.zeros((2, 2)))
+        gen = constant(np.zeros((2, 2)))
         u = np.array([[0.8, -0.6], [0.6, 0.8]])
         f = SvdFactors.from_svd(u, np.array([1.0, 0.5]), np.eye(2), 0.0)
         snap = snapshot_from_arrays(f.u, f.tilde, gen, f.t)
@@ -735,7 +735,7 @@ class TestQsvdStep:
     def test_equal_modulus_is_a_degeneracy_at_its_step(self, plan):
         # tz = (1, 0.3, -0.3): the generators divide by 0.3^2 - (-0.3)^2 = 0;
         # this used to stop in cayley on NaN as an InvalidInputError (exit 2)
-        gen = Generator(dim=3, matrix=lambda t: np.arange(9.0).reshape(3, 3))
+        gen = constant(np.arange(9.0).reshape(3, 3))
         f = SvdFactors.from_svd(np.eye(3), np.array([1.0, 0.3, -0.3]), np.eye(3), 0.0)
         snap = snapshot_from_arrays(np.eye(3), np.array([1.0, 0.5, 0.2]), gen, 0.0)
         with pytest.raises(DegenerateSingularValuesError) as excinfo:

@@ -187,6 +187,25 @@ def test_dilation_column_draws_the_derive_rng_stream(small_cfg, mode):
     assert np.array_equal(result.rows[:, -1], want)
 
 
+def test_second_run_evaluates_a_only_at_snapshots(small_cfg):
+    # ensemble loops call run_qsvd(cfg, gen) once per member on one generator:
+    # the first run memoizes every step product on it, so a later member
+    # evaluates A only at its n_steps + 2 snapshot times
+    gen = build_generator(small_cfg)
+    sizes = []
+
+    def matrix(t):
+        sizes.append(np.size(t))
+        return gen.matrix(t)
+
+    counted = dataclasses.replace(gen, matrix=matrix)
+    run_qsvd(small_cfg, counted)
+    assert sum(sizes) > 2 * small_cfg.n_steps * small_cfg.ref_refine
+    sizes.clear()
+    run_qsvd(dataclasses.replace(small_cfg, mode="sampled", rng_seed=9), counted)
+    assert sizes == [1] * (small_cfg.n_steps + 2)
+
+
 def test_unknown_mode_is_a_config_error(small_cfg):
     # raised before seeding or any step: A(t) is never evaluated
     def untouched(t):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_factors
+from conftest import constant, random_factors
 from svdflow import matcore, svdeom
 from svdflow.errors import (
     DegenerateSingularValuesError,
@@ -11,7 +11,7 @@ from svdflow.errors import (
     SigmaSaturationError,
 )
 from svdflow.models import DEFAULT_DEMO_MODEL, two_state_generator
-from svdflow.odeflow import Generator, propagator, seed_factors
+from svdflow.odeflow import propagator, seed_factors
 from svdflow.svdeom import (
     SvdFactors,
     midpoint_generators,
@@ -21,11 +21,6 @@ from svdflow.svdeom import (
     snapshot_from_arrays,
     step_factors,
 )
-
-
-def constant(m):
-    m = np.asarray(m, dtype=float)
-    return Generator(dim=m.shape[0], matrix=lambda t: m)
 
 
 class TestSigmaPlus:
