@@ -2,6 +2,8 @@
 fine-grained oracle propagators and exact factor-flow run are computed once
 per session and shared."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -63,6 +65,18 @@ def constant(m):
     m = np.asarray(m, dtype=float)
     return Generator(dim=m.shape[0],
                      matrix=lambda t: np.broadcast_to(m, np.shape(t) + m.shape))
+
+
+def counting(gen):
+    """A `dataclasses.replace` copy of gen, as perfbench's tracer makes, and
+    the list its matrix appends the number of times of each call to."""
+    sizes = []
+
+    def matrix(t):
+        sizes.append(np.size(t))
+        return gen.matrix(t)
+
+    return dataclasses.replace(gen, matrix=matrix), sizes
 
 
 def random_factors(rng, n):

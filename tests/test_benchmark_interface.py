@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import counting
 from svdflow.config import build_generator
 from svdflow.odeflow import seed_factors, seed_segments
 from svdflow.qsim import DilationResult, ShotPlan
@@ -77,17 +78,10 @@ def test_factor_fields_the_oracle_reads(demo_exact_run):
 
 
 def test_matrix_copy_sees_every_evaluation(small_cfg):
-    # the tracer counts A(t) on dataclasses.replace(gen, matrix=counting):
-    # seeding and the reference evaluate A through that field, at every
-    # substep's start and midpoint
-    gen = build_generator(small_cfg)
-    sizes = []
-
-    def wrapped(t):
-        sizes.append(np.size(t))
-        return gen.matrix(t)
-
-    traced = dataclasses.replace(gen, matrix=wrapped)
+    # perfbench's tracer counts A(t) on a dataclasses.replace copy with its
+    # own matrix, as `counting` makes: seeding and the reference evaluate A
+    # through that field, at every substep's start and midpoint
+    traced, sizes = counting(build_generator(small_cfg))
     args = (small_cfg.t_seed, small_cfg.step_size, small_cfg.seed_substeps)
     seed_factors(traced, *args)
     seeded = sum(sizes)

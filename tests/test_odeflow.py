@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import constant
+from conftest import constant, counting
 from svdflow import matcore
 from svdflow.errors import DegenerateSingularValuesError, InvalidInputError, OverflowGuardError
 from svdflow.models import (
@@ -265,27 +265,16 @@ class TestOverflowGuard:
 
 
 class TestSegmentMemo:
-    @staticmethod
-    def counted(gen):
-        """gen with its matrix wrapped to count A evaluations, one per time."""
-        calls = [0]
-
-        def matrix(t):
-            calls[0] += np.size(t)
-            return gen.matrix(t)
-
-        return dataclasses.replace(gen, matrix=matrix), calls
-
     def test_seed_segment_integrated_once(self, small_cfg):
         cfg = dataclasses.replace(small_cfg, t_seed=1.0, t_f=1.2, n_steps=20)
         nsub = cfg.seed_substeps
         assert sum(m for *_, m in seed_segments(cfg.t_seed, cfg.step_size, nsub)) == nsub
-        gen, calls = self.counted(synthetic_generator(3, seed=2, smoothness=0.4))
+        gen, sizes = counting(synthetic_generator(3, seed=2, smoothness=0.4))
         seed_factors(gen, cfg.t_seed, cfg.step_size, nsub=nsub)
         compute_reference(cfg, gen)
         oracle_propagators(cfg, gen)
         # every substep's start and midpoint, once
-        assert calls[0] == 2 * (nsub + cfg.n_steps * cfg.ref_refine)
+        assert sum(sizes) == 2 * (nsub + cfg.n_steps * cfg.ref_refine)
 
     def test_copy_starts_empty(self):
         gen = synthetic_generator(3, seed=2, smoothness=0.4)

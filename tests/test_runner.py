@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import counting
 from svdflow import qsim, runner
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import (
@@ -191,14 +192,7 @@ def test_second_run_evaluates_a_only_at_snapshots(small_cfg):
     # ensemble loops call run_qsvd(cfg, gen) once per member on one generator:
     # the first run memoizes every step product on it, so a later member
     # evaluates A only at its n_steps + 2 snapshot times
-    gen = build_generator(small_cfg)
-    sizes = []
-
-    def matrix(t):
-        sizes.append(np.size(t))
-        return gen.matrix(t)
-
-    counted = dataclasses.replace(gen, matrix=matrix)
+    counted, sizes = counting(build_generator(small_cfg))
     run_qsvd(small_cfg, counted)
     assert sum(sizes) > 2 * small_cfg.n_steps * small_cfg.ref_refine
     sizes.clear()
