@@ -15,7 +15,8 @@ diffing the outputs checks that a change keeps every trajectory byte for
 byte; a change that re-bases only the classical reference shows as equal
 flow digests. scripts/identity/ holds the configs of that check:
 the three perfbench workloads, synthetic n=5 sampled with dilation and
-project, the demo noisy with dilation and project, and the demo exact.
+project, the demo noisy with dilation and project, the demo exact, and
+synthetic n=8 exact on [1, 3] (perfbench's oracle self-check config).
 """
 
 import argparse

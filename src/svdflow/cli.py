@@ -32,12 +32,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--mode", choices=MODES)
-        p.add_argument("--shots", type=int, help="measurement shots per circuit")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--steps", type=int, help="number of factor-flow steps")
-        p.add_argument("--noise-p1", type=float, help="1-qubit depolarizing probability")
-        p.add_argument("--noise-p2", type=float, help="multi-qubit depolarizing probability")
-        p.add_argument("--noise-pro", type=float, help="readout flip probability per qubit")
+        # each dest is the RunConfig field (or NoiseSpec probability) it sets
+        p.add_argument("--shots", dest="n_shots", metavar="SHOTS", type=int,
+                       help="measurement shots per circuit")
+        p.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int,
+                       help="master RNG seed")
+        p.add_argument("--steps", dest="n_steps", metavar="STEPS", type=int,
+                       help="number of factor-flow steps")
+        p.add_argument("--noise-p1", dest="p1", metavar="NOISE_P1", type=float,
+                       help="1-qubit depolarizing probability")
+        p.add_argument("--noise-p2", dest="p2", metavar="NOISE_P2", type=float,
+                       help="multi-qubit depolarizing probability")
+        p.add_argument("--noise-pro", dest="p_ro", metavar="NOISE_PRO", type=float,
+                       help="readout flip probability per qubit")
         p.add_argument("--project", action="store_true", default=None,
                        help="project measured factors onto the nearest orthogonal matrix")
         p.add_argument("--dilation", action="store_true", default=None,
@@ -55,26 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> "RunConfig":
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.shots is not None:
-        overrides["n_shots"] = args.shots
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.steps is not None:
-        overrides["n_steps"] = args.steps
-    if args.project is not None:
-        overrides["project"] = args.project
-    if args.dilation is not None:
-        overrides["dilation"] = args.dilation
-    noise = {}
-    if args.noise_p1 is not None:
-        noise["p1"] = args.noise_p1
-    if args.noise_p2 is not None:
-        noise["p2"] = args.noise_p2
-    if args.noise_pro is not None:
-        noise["p_ro"] = args.noise_pro
+    """The config file with the run flags given, each overriding the field
+    its dest names."""
+    overrides = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "config", "out")}
+    noise = {k: overrides.pop(k) for k in ("p1", "p2", "p_ro") if k in overrides}
     if noise:
         overrides["noise"] = noise
     return load_config(args.config, overrides)

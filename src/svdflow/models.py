@@ -21,6 +21,8 @@ class RateChannel:
     tau: float
 
     def __post_init__(self):
+        if not np.isfinite((self.k0, self.k_inf, self.tau)).all():
+            raise InvalidInputError(f"rate parameters must be finite, got {self}")
         if self.k0 < 0 or self.k_inf < 0:
             raise InvalidInputError("rates must be nonnegative")
         if self.tau <= 0:
@@ -74,6 +76,9 @@ def synthetic_generator(n: int, seed: int, smoothness: float,
     stacked on an array of times."""
     if n < 2:
         raise InvalidInputError("dimension must be >= 2")
+    if not np.isfinite((smoothness, omega, decay)).all():
+        raise InvalidInputError(f"smoothness, omega and decay must be finite, got "
+                                f"{smoothness}, {omega}, {decay}")
     if decay == 0:
         raise InvalidInputError("decay must be nonzero")
     rng = np.random.default_rng(seed)

@@ -17,8 +17,8 @@ ancilla Hadamard), which are checked once, when they are built.
 `qsvd_step`, the one step of the factor flow, and its circuits take an
 optional `ShotPlan`: the shots per circuit and the `NoiseSpec` (per-gate
 depolarizing, symmetric readout flips) every circuit runs under, all zero
-for noise-free sampling. Without a plan the step is exact: U and V are
-updated as whole matrices and phases and amplitudes are read directly.
+for noise-free sampling. Without a plan the step is `svdeom.step_factors`,
+the exact flow, and the dilation reads its amplitudes directly.
 
 Noise has one representation: `circuit_probs` evolves a density matrix
 through each gate followed by the exact depolarizing channel on the qubits
@@ -63,6 +63,7 @@ from .svdeom import (
     midpoint_generators,
     sigma_plus,
     snapshot_from_arrays,
+    step_factors,
 )
 
 CONTRAST_FLOOR = 0.5  # least cos^2 + sin^2 a measured phase estimate accepts
@@ -337,17 +338,15 @@ def _interferometer_gates(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
-                       plan: ShotPlan | None = None,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Advance the diagonal-unitary phases by a Cayley step of -i L.
+                       plan: ShotPlan, rng: np.random.Generator) -> np.ndarray:
+    """Advance the diagonal-unitary phases by a Cayley step of -i L, measured.
 
     The state (1/sqrt(N)) sum_j e^{i phi_j} |j> is evolved under the diagonal
-    Cayley unitary and read exactly without a plan; with one, each relative
-    phase is measured from a pair of two-level interferometers on {|0>, |j>}
-    under the plan's noise: a Hadamard-type
-    mixing yields cos(phi_j), the same mixing preceded by an S^dagger phase
-    on |j> yields sin(phi_j), and phi_j = atan2(sin, cos). Phase 0 is the
-    reference and stays 0. Each family is one circuit on a stack of n-1
+    Cayley unitary, and each relative phase is measured from a pair of
+    two-level interferometers on {|0>, |j>} under the plan's noise: a
+    Hadamard-type mixing yields cos(phi_j), the same mixing preceded by an
+    S^dagger phase on |j> yields sin(phi_j), and phi_j = atan2(sin, cos).
+    Phase 0 is the reference and stays 0. Each family is one circuit on a stack of n-1
     gates, one per j. Both families are drawn from `rng` as one (n-1, 2)
     stack, in the order of j, cos before sin; the count and contrast guards
     are taken in the same order.
@@ -357,11 +356,6 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
         raise InvalidInputError("phases must lie inside (-pi, pi)")
     n = len(phases)
     factors = cayley_diag(lplus_mid, h)
-    if plan is None:
-        new = phases + np.angle(factors)
-        new = np.angle(np.exp(1j * new))  # wrap into (-pi, pi]
-        new[0] = 0.0
-        return new
     if rng is None:
         raise InvalidInputError("a ShotPlan needs an rng")
     base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(n))
@@ -526,35 +520,31 @@ def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
               h: float, plan: ShotPlan | None = None, master_seed: int = 0,
               step_index: int = 0, project: bool = False,
               tol_degen: float = DEFAULT_TOL_DEGEN, tol_sat: float = DEFAULT_TOL_SAT
-              ) -> tuple[SvdFactors, GeneratorSnapshot]:
-    """One step of the factor flow, exact without a plan, else measured.
+              ) -> tuple[SvdFactors, tuple]:
+    """One step of the factor flow: `svdeom.step_factors` without a plan,
+    else measured. Returns the new state and the next history, (history[1],
+    the snapshot at the pre-step factors); an error carries step_index.
 
-    Returns the advanced state together with the generator snapshot taken at
-    the pre-step factors (the caller rolls it into the extrapolation
-    history). Without a plan U and V are updated as whole matrices, as
-    `svdeom.step_factors` does, and `project` is ignored; with a plan every
-    row and phase is measured under it, all drawn from one stream,
-    derive_rng(master_seed, step_index), and `project` maps U and V onto the
-    nearest orthogonal matrices. The new state stores the cosines of the new
-    phases, so a phase that crossed 0 reads back in [0, pi] (`SvdFactors.phases`)
-    and does not turn the next step's phase generator the wrong way.
+    Without a plan `project` is ignored. With one, every row and phase is
+    measured under it, all drawn from one stream, derive_rng(master_seed,
+    step_index), and `project` maps U and V onto the nearest orthogonal
+    matrices. The new state stores the cosines of the new phases, so a phase
+    that crossed 0 reads back in [0, pi] (`SvdFactors.phases`) and does not
+    turn the next step's phase generator the wrong way.
     """
     try:
+        if plan is None:
+            return step_factors(state, history, a, h, tol_degen, tol_sat)
         snap = snapshot_from_arrays(state.u, state.tilde, a, state.t,
                                     tol_degen, tol_sat)
         z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
-        cay_z = cayley(z_mid, h)
-        cay_w = cayley(w_mid, h)
-        rng = None if plan is None else derive_rng(master_seed, step_index)
-        if plan is None:
-            u_new = state.u @ cay_z
-            v_new = state.v @ cay_w
-        else:
-            u_new, v_new = propagate_row(
-                np.stack([state.u, state.v]), np.stack([cay_z.T, cay_w.T]), plan, rng)
-            if project:
-                u_new = nearest_orthogonal(u_new)
-                v_new = nearest_orthogonal(v_new)
+        cay_zt, cay_wt = cayley(z_mid, h).T, cayley(w_mid, h).T
+        rng = derive_rng(master_seed, step_index)
+        u_new, v_new = propagate_row(
+            np.stack([state.u, state.v]), np.stack([cay_zt, cay_wt]), plan, rng)
+        if project:
+            u_new = nearest_orthogonal(u_new)
+            v_new = nearest_orthogonal(v_new)
         phases_new = evolve_sigma_phase(state.phases, l_mid, h, plan, rng)
         sigma1_new = state.sigma1 * float(np.exp(h * g11_mid))
     except SvdFlowError as exc:
@@ -562,4 +552,4 @@ def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
             exc.step = step_index
         raise
     return (SvdFactors(u=u_new, v=v_new, tilde=np.cos(phases_new),
-                       sigma1=sigma1_new, t=state.t + h), snap)
+                       sigma1=sigma1_new, t=state.t + h), (history[1], snap))

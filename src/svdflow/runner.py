@@ -16,7 +16,7 @@ from .errors import OverflowGuardError, SvdFlowError
 from .odeflow import (Generator, apply_step_products, seed_factors, seed_segments,
                       step_products)
 from .qsim import ShotPlan, derive_rng, dilation_stack, qsvd_step
-from .svdeom import SvdFactors, reconstruct_phi, sigma_plus, snapshot_from_arrays
+from .svdeom import SvdFactors, reconstruct_phi, sigma_plus, start_history
 
 TRAJECTORY_COLUMNS = (
     "t", "P_D_ref", "P_A_ref", "P_D_qsvd", "P_A_qsvd", "sigma1",
@@ -156,16 +156,14 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
         reference = compute_reference(cfg, gen)
     ref_grid = reference.grid_states
 
-    history = [snapshot_from_arrays(f.u, f.tilde, gen, f.t, cfg.tol_degen, cfg.tol_sat)
-               for f in seeds[:2]]
+    history = start_history(seeds, gen, cfg.tol_degen, cfg.tol_sat)
     factors = [seeds[2]]
     try:
         for i in range(cfg.n_steps):
-            state, snap = qsvd_step(
+            state, history = qsvd_step(
                 factors[-1], history, gen, h, plan, master_seed=cfg.rng_seed,
                 step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
                 tol_sat=cfg.tol_sat)
-            history = [history[1], snap]
             factors.append(state)
     except SvdFlowError:
         _tabulate(cfg, plan, ref_grid, factors)

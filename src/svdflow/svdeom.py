@@ -12,13 +12,15 @@ skew-symmetric, so U and V stay orthogonal under Cayley updates; the unit
 complex numbers sp_j = tz_j + i sqrt(1 - tz_j^2) evolve by per-entry Cayley
 factors of -i L, and sigma_1 obeys the scalar ODE sigma_1' = G_11 sigma_1.
 
-`SvdFactors` is the one factor state: seeding returns it, `step_factors`
-here (the noise-free oracle) and `qsim.qsvd_step` (the step loop in every
-mode) take and return it, and the run tabulates it. It stores tz, not the
-phases arg(sp_j) = arccos(tz_j) that the device evolves: seeds, snapshots,
-the propagator rebuild and the dilation read tz, and cos(arccos(tz)) can
-differ from tz in the last bit. Both paths consume the same generator
-snapshots, built by `snapshot_from_arrays`.
+`SvdFactors` is the one factor state: seeding returns it, the steps take
+and return it (`step_factors` here, the one exact step, and
+`qsim.qsvd_step`, which runs it without a plan and measures otherwise), and
+the run tabulates it. It stores tz, not the phases arg(sp_j) = arccos(tz_j)
+that the device evolves: seeds, snapshots, the propagator rebuild and the
+dilation read tz, and cos(arccos(tz)) can differ from tz in the last bit.
+Each step takes its extrapolation history, the snapshots of the two
+previous grid points (`start_history` builds the first), and returns the
+next one.
 """
 
 from __future__ import annotations
@@ -183,26 +185,34 @@ def midpoint_generators(snap_i: GeneratorSnapshot,
     return z_mid, w_mid, l_mid, g11_mid
 
 
-def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
-                 a: "Generator", h: float, snapshot: GeneratorSnapshot | None = None,
-                 tol_degen=DEFAULT_TOL_DEGEN, tol_sat=DEFAULT_TOL_SAT) -> SvdFactors:
-    """Advance all SVD factors by one step of size h (noise-free path).
+def start_history(seeds: Sequence[SvdFactors], a: "Generator",
+                  tol_degen=DEFAULT_TOL_DEGEN, tol_sat=DEFAULT_TOL_SAT) -> tuple:
+    """The history of the first step: the snapshots at seeds[0] and seeds[1]
+    (t_seed - 2h and t_seed - h), oldest first."""
+    return tuple(snapshot_from_arrays(f.u, f.tilde, a, f.t, tol_degen, tol_sat)
+                 for f in seeds[:2])
 
-    All four updates use the same extrapolated midpoint generators computed
-    from the pre-step factors; pass `snapshot` to reuse one already computed
-    at f.t (callers keep it for the rolling history).
+
+def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
+                 a: "Generator", h: float, tol_degen=DEFAULT_TOL_DEGEN,
+                 tol_sat=DEFAULT_TOL_SAT) -> tuple[SvdFactors, tuple]:
+    """The exact step of size h: the new factors and the next history,
+    (history[1], the snapshot at f.t).
+
+    All updates use the midpoint generators extrapolated from the snapshot
+    at f.t and `history`. U and V take whole-matrix Cayley steps; each phase
+    arccos(tz_j) turns by the argument of its Cayley factor, wrapped into
+    (-pi, pi], and the new tz is its cosine, as a measured step stores it.
     """
-    snap = snapshot if snapshot is not None else snapshot_from_arrays(
-        f.u, f.tilde, a, f.t, tol_degen, tol_sat)
+    snap = snapshot_from_arrays(f.u, f.tilde, a, f.t, tol_degen, tol_sat)
     z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
     u_new = f.u @ cayley(z_mid, h)
     v_new = f.v @ cayley(w_mid, h)
-    sp_new = sigma_plus(f.tilde) * cayley_diag(l_mid, h)
-    tilde_new = np.real(sp_new)
-    tilde_new[0] = 1.0
+    phases = np.angle(np.exp(1j * (f.phases + np.angle(cayley_diag(l_mid, h)))))
+    phases[0] = 0.0
     sigma1_new = f.sigma1 * float(np.exp(h * g11_mid))
-    return SvdFactors(u=u_new, v=v_new, tilde=tilde_new, sigma1=sigma1_new,
-                      t=f.t + h)
+    return (SvdFactors(u=u_new, v=v_new, tilde=np.cos(phases), sigma1=sigma1_new,
+                       t=f.t + h), (history[1], snap))
 
 
 def reconstruct_phi(f: SvdFactors) -> np.ndarray:

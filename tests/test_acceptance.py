@@ -9,12 +9,10 @@ import dataclasses
 import time
 
 import numpy as np
-import pytest
 
 from conftest import constant, random_factors
 from svdflow import matcore
 from svdflow.cli import main
-from svdflow.config import RunConfig
 from svdflow.odeflow import seed_factors
 from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit, evolve_sigma_phase
 from svdflow.runner import oracle_propagators, run_qsvd
@@ -25,6 +23,7 @@ from svdflow.svdeom import (
     reconstruct_phi,
     sigma_plus,
     snapshot_from_arrays,
+    start_history,
     step_factors,
 )
 
@@ -50,12 +49,10 @@ def test_criterion_2_factor_flow_fidelity(demo_cfg, demo_gen, demo_seeds,
     def terminal_and_max_gap(cfg, seeds, oracles):
         h = cfg.step_size
         f = seeds[2]
-        history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t) for x in seeds[:2]]
+        history = start_history(seeds, demo_gen)
         worst = 0.0
         for i in range(cfg.n_steps):
-            snap = snapshot_from_arrays(f.u, f.tilde, demo_gen, f.t)
-            f = step_factors(f, history, demo_gen, h, snapshot=snap)
-            history = [history[1], snap]
+            f, history = step_factors(f, history, demo_gen, h)
             gap = np.abs(reconstruct_phi(f) - oracles[i + 1]).max()
             worst = max(worst, gap)
         return gap, worst
@@ -102,19 +99,18 @@ def test_criterion_3_dilation_brute_force():
 def test_criterion_4_structure_invariants(demo_cfg, demo_gen, demo_seeds):
     h = demo_cfg.step_size
     f = demo_seeds[2]
-    history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t) for x in demo_seeds[:2]]
+    history = start_history(demo_seeds, demo_gen)
     worst_ortho = 0.0
     worst_mod = 0.0
     eye = np.eye(f.dim)
     all_skew = True
     sp1_exact = True
     for _ in range(demo_cfg.n_steps):
-        snap = snapshot_from_arrays(f.u, f.tilde, demo_gen, f.t)
-        z_mid, w_mid, _, _ = midpoint_generators(snap, history)
+        old = history
+        f, history = step_factors(f, history, demo_gen, h)
+        z_mid, w_mid, _, _ = midpoint_generators(history[1], old)
         all_skew &= np.array_equal(z_mid, -z_mid.T)
         all_skew &= np.array_equal(w_mid, -w_mid.T)
-        f = step_factors(f, history, demo_gen, h, snapshot=snap)
-        history = [history[1], snap]
         worst_ortho = max(worst_ortho,
                           np.linalg.norm(f.u.T @ f.u - eye),
                           np.linalg.norm(f.v.T @ f.v - eye))

@@ -83,6 +83,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_generator(RunConfig(model_params={"nope": 1.0}))
 
+    @pytest.mark.parametrize("flags,field,value", [
+        (["--mode", "sampled"], "mode", "sampled"), (["--shots", "77"], "n_shots", 77),
+        (["--seed", "5"], "rng_seed", 5), (["--steps", "30"], "n_steps", 30),
+        (["--project"], "project", True), (["--dilation"], "dilation", True),
+        (["--mode", "noisy", "--noise-p1", "0.125"], "noise", NoiseSpec(p1=0.125)),
+        (["--mode", "noisy", "--noise-p2", "0.125"], "noise", NoiseSpec(p2=0.125)),
+        (["--mode", "noisy", "--noise-pro", "0.125"], "noise", NoiseSpec(p_ro=0.125)),
+    ])
+    def test_run_flag_sets_its_field(self, tmp_path, flags, field, value):
+        path = write_config(tmp_path)
+        args = build_parser().parse_args(["qsvd", "--config", path, *flags, "--out", "x.csv"])
+        assert getattr(load_config(path), field) != value
+        assert getattr(_config_from_args(args), field) == value
+
 
 class TestCli:
     def test_round_trip(self, tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svdflow.errors import InvalidInputError
+from svdflow.config import RunConfig, build_generator
+from svdflow.errors import ConfigError, InvalidInputError
 from svdflow.models import (
     DEFAULT_DEMO_MODEL,
     RateChannel,
@@ -91,6 +92,19 @@ class TestSyntheticGenerator:
         assert np.array_equal(gen(0.9), -gen(0.9).T)
         phi = propagator(gen, 0.0, 1.0, 2000)
         assert np.linalg.norm(phi.T @ phi - np.eye(3)) <= 1e-5
+
+
+@pytest.mark.parametrize("model,params", [
+    ("two_state_demo", {"k0_da": np.nan}), ("two_state_demo", {"kinf_da": np.inf}),
+    ("two_state_demo", {"tau_ad": np.nan}), ("synthetic", {"smoothness": np.nan}),
+    ("synthetic", {"omega": np.inf}), ("synthetic", {"decay": np.nan})])
+def test_non_finite_parameter_rejected_by_the_model(model, params):
+    # RateChannel and synthetic_generator raise also outside RunConfig.validate,
+    # which build_generator does not call; it maps the error to exit 2
+    with pytest.raises(ConfigError, match="finite") as excinfo:
+        build_generator(RunConfig(model_name=model, model_params=params))
+    assert isinstance(excinfo.value.__cause__, InvalidInputError)
+    assert excinfo.value.exit_code == 2
 
 
 def test_default_demo_guard_corridor(demo_cfg, demo_exact_run):

@@ -37,6 +37,7 @@ from svdflow.svdeom import (
     reconstruct_phi,
     sigma_plus,
     snapshot_from_arrays,
+    start_history,
     step_factors,
 )
 
@@ -160,9 +161,9 @@ class TestFixedGates:
         f = random_factors(rng, 3)
         plan = ShotPlan(1000, NoiseSpec(p1=1e-3, p2=1e-2))
         for seed in range(3):
+            evolve_sigma_phase(np.array([0.0, 0.4, 1.1]), np.array([0.0, 0.3, -0.2]),
+                               0.1, plan, derive_rng(seed))
             for p in (None, plan):
-                evolve_sigma_phase(np.array([0.0, 0.4, 1.1]), np.array([0.0, 0.3, -0.2]),
-                                   0.1, p, derive_rng(seed))
                 dilation_circuit(initial_state(3), f, p, derive_rng(seed, 3))
         constants = [*qsim._interferometer_gates(3, 4), qsim._ancilla_hadamard(4)]
         for const in constants:
@@ -407,17 +408,6 @@ class TestStackedKernels:
 
 
 class TestEvolveSigmaPhase:
-    def test_zero_generator_exact(self):
-        phases = np.array([0.0, 0.7, -1.2])
-        out = evolve_sigma_phase(phases, np.zeros(3), 0.5)
-        assert np.abs(out - phases).max() <= 1e-15
-
-    def test_scalar_cayley_argument_exact(self):
-        lam, h = 0.8, 0.4
-        out = evolve_sigma_phase(np.zeros(2), np.array([0.0, lam]), h)
-        assert np.isclose(out[1], -2.0 * np.arctan(h * lam / 2.0), atol=1e-14)
-        assert out[0] == 0.0
-
     def test_planted_phase_recovery(self):
         phi = np.pi / 3.0
         plan = ShotPlan(10**6)
@@ -475,12 +465,13 @@ class TestEvolveSigmaPhase:
             mix[0, 0, 0] = 1.0
 
     def test_plan_needs_rng_factory(self):
-        with pytest.raises(InvalidInputError):
-            evolve_sigma_phase(np.array([0.0, 0.5]), np.zeros(2), 0.1, ShotPlan(100))
+        with pytest.raises(InvalidInputError, match="needs an rng"):
+            evolve_sigma_phase(np.array([0.0, 0.5]), np.zeros(2), 0.1, ShotPlan(100), None)
 
     def test_rejects_phases_outside_range(self):
-        with pytest.raises(InvalidInputError):
-            evolve_sigma_phase(np.array([0.0, 3.5]), np.zeros(2), 0.1)
+        with pytest.raises(InvalidInputError, match="phases"):
+            evolve_sigma_phase(np.array([0.0, 3.5]), np.zeros(2), 0.1, ShotPlan(100),
+                               derive_rng(0))
 
 
 class TestDilation:
@@ -629,47 +620,41 @@ class TestDilation:
 
 
 class TestQsvdStep:
-    def _setup(self, demo_gen, demo_seeds):
-        history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t)
-                   for x in demo_seeds[:2]]
-        return demo_seeds[2], history
-
-    def test_exact_mode_matches_step_factors(self, demo_cfg, demo_gen,
-                                             demo_seeds):
-        f, history = self._setup(demo_gen, demo_seeds)
+    def test_exact_mode_matches_step_factors(self, demo_cfg, demo_gen, demo_seeds):
+        f, history = demo_seeds[2], start_history(demo_seeds, demo_gen)
         h = demo_cfg.step_size
-        classical = step_factors(f, history, demo_gen, h)
-        emulated, _ = qsvd_step(f, history, demo_gen, h)
-        assert np.abs(emulated.u - classical.u).max() <= 1e-10
-        assert np.abs(emulated.v - classical.v).max() <= 1e-10
-        assert np.abs(emulated.tilde - classical.tilde).max() <= 1e-10
-        assert np.isclose(emulated.sigma1, classical.sigma1, rtol=1e-12)
+        classical, classical_history = step_factors(f, history, demo_gen, h)
+        emulated, emulated_history = qsvd_step(f, history, demo_gen, h)
+        for name in ("u", "v", "tilde", "sigma1", "t"):
+            assert np.array_equal(getattr(emulated, name), getattr(classical, name)), name
+        assert emulated_history[0] is classical_history[0] is history[1]
+        assert np.array_equal(emulated_history[1].lplus, classical_history[1].lplus)
 
     def test_exact_mode_follows_step_factors_across_phase_crossing(self):
         # on this model a phase crosses 0 within the first steps; unless the
         # phase reads back in [0, pi] (the state stores its cosine), the
-        # emulated flow turns the wrong way there and leaves the oracle
+        # flow turns the wrong way there and leaves the closed-form step
+        # tz' = Re(sp(tz) c) of the Cayley factor c
         cfg = RunConfig(model_name="synthetic", model_params={"n": 2, "seed": 0},
                         t_seed=5.0, t_f=2000.0, n_steps=1000,
                         seed_substeps=2000).validate()
-        gen = build_generator(cfg)
-        h = cfg.step_size
+        gen, h = build_generator(cfg), cfg.step_size
         seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
-        history = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in seeds[:2]]
-        f = state = seeds[2]
+        history, state = start_history(seeds, gen), seeds[2]
+        crossed = False
         for i in range(12):
-            snap = snapshot_from_arrays(f.u, f.tilde, gen, f.t)
-            f = step_factors(f, history, gen, h, snapshot=snap)
-            state, _ = qsvd_step(state, history, gen, h, step_index=i)
-            history = [history[1], snap]
-            phi = reconstruct_phi(f)
-            gap = np.linalg.norm(reconstruct_phi(state) - phi)
-            assert gap <= 1e-10 * np.linalg.norm(phi), f"step {i}"
+            new, new_history = qsvd_step(state, history, gen, h, step_index=i)
+            c = matcore.cayley_diag(midpoint_generators(new_history[1], history)[2], h)
+            crossed |= bool((state.phases + np.angle(c))[1:].min() < 0.0)
+            closed_form = np.real(sigma_plus(state.tilde) * c)
+            assert np.abs(new.tilde[1:] - closed_form[1:]).max() <= 1e-10, f"step {i}"
+            state, history = new, new_history
+        assert crossed
 
     def test_sampled_row_error_scale(self, demo_cfg, demo_gen, demo_seeds):
-        f, history = self._setup(demo_gen, demo_seeds)
+        f, history = demo_seeds[2], start_history(demo_seeds, demo_gen)
         h = demo_cfg.step_size
-        classical = step_factors(f, history, demo_gen, h)
+        classical, _ = step_factors(f, history, demo_gen, h)
         state, _ = qsvd_step(f, history, demo_gen, h, ShotPlan(10**6), master_seed=1234)
         gap = np.abs(state.u - classical.u).max()
         assert 0.0 < gap <= 1e-2  # binomial magnitude error at 1e6 shots
@@ -685,9 +670,8 @@ class TestQsvdStep:
         state = f
         plan = ShotPlan(10**5)
         for i in range(400):
-            state, snap = qsvd_step(state, history, gen, 0.1, plan,
-                                    master_seed=99, step_index=i)
-            history = [history[1], snap]
+            state, history = qsvd_step(state, history, gen, 0.1, plan,
+                                       master_seed=99, step_index=i)
         assert np.all(np.isfinite(state.u))
         assert np.abs(state.u - u).max() <= 0.2
         assert np.abs(state.tilde[1] - 0.5) <= 0.2
@@ -704,13 +688,11 @@ class TestQsvdStep:
         gen = build_generator(cfg)
         h, seed, plan = cfg.step_size, 2**32 + 7, ShotPlan(10**4, noise)
         seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
-        history = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in seeds[:2]]
-        state = seeds[2]
+        history, state = start_history(seeds, gen), seeds[2]
         for step in range(62, 66):
-            new, snap = qsvd_step(state, history, gen, h, plan, master_seed=seed,
-                                  step_index=step, project=True)
-            z_mid, w_mid, l_mid, _ = midpoint_generators(
-                snapshot_from_arrays(state.u, state.tilde, gen, state.t), history)
+            new, new_history = qsvd_step(state, history, gen, h, plan, master_seed=seed,
+                                         step_index=step, project=True)
+            z_mid, w_mid, l_mid, _ = midpoint_generators(new_history[1], history)
             rng = derive_rng(seed, step)
             u, v = propagate_row(
                 np.stack([state.u, state.v]),
@@ -720,7 +702,7 @@ class TestQsvdStep:
             assert np.array_equal(new.u, matcore.nearest_orthogonal(u))
             assert np.array_equal(new.v, matcore.nearest_orthogonal(v))
             assert np.array_equal(new.tilde, np.cos(phases))
-            state, history = new, [history[1], snap]
+            state, history = new, new_history
 
     @pytest.mark.parametrize("seed", [1234, 2**32 + 7])
     def test_streams_of_a_run_are_distinct(self, seed):
@@ -744,7 +726,7 @@ class TestQsvdStep:
         assert excinfo.value.exit_code == 3
 
     def test_deterministic(self, demo_cfg, demo_gen, demo_seeds):
-        f, history = self._setup(demo_gen, demo_seeds)
+        f, history = demo_seeds[2], start_history(demo_seeds, demo_gen)
         h = demo_cfg.step_size
         kw = dict(plan=ShotPlan(10**4, NoiseSpec(1e-3, 1e-2, 1e-2)),
                   master_seed=5, step_index=3)

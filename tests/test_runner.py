@@ -21,7 +21,7 @@ from svdflow.svdeom import (
     SvdFactors,
     reconstruct_phi,
     sigma_plus,
-    snapshot_from_arrays,
+    start_history,
     step_factors,
 )
 
@@ -35,13 +35,11 @@ def synthetic_cfg(n, **extra):
 
 def step_factors_propagators(cfg, gen, seeds):
     """Propagators of a plain `step_factors` loop at every grid point."""
-    history = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in seeds[:2]]
+    history = start_history(seeds, gen)
     f = seeds[2]
     out = [reconstruct_phi(f)]
     for _ in range(cfg.n_steps):
-        snap = snapshot_from_arrays(f.u, f.tilde, gen, f.t)
-        f = step_factors(f, history, gen, cfg.step_size, snapshot=snap)
-        history = [history[1], snap]
+        f, history = step_factors(f, history, gen, cfg.step_size)
         out.append(reconstruct_phi(f))
     return out
 

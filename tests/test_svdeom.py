@@ -4,13 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import constant, random_factors
-from svdflow import matcore, svdeom
 from svdflow.errors import (
     DegenerateSingularValuesError,
     InvalidInputError,
     SigmaSaturationError,
 )
-from svdflow.models import DEFAULT_DEMO_MODEL, two_state_generator
 from svdflow.odeflow import propagator, seed_factors
 from svdflow.svdeom import (
     SvdFactors,
@@ -19,6 +17,7 @@ from svdflow.svdeom import (
     reconstruct_phi,
     sigma_plus,
     snapshot_from_arrays,
+    start_history,
     step_factors,
 )
 
@@ -148,7 +147,7 @@ class TestStepFactors:
         rng = np.random.default_rng(1)
         f = random_factors(rng, 3)
         gen = constant(np.zeros((3, 3)))
-        out = step_factors(f, _history_at(gen, f, 0.5), gen, 0.5)
+        out, _ = step_factors(f, _history_at(gen, f, 0.5), gen, 0.5)
         assert np.abs(out.u - f.u).max() <= 1e-15
         assert np.abs(out.v - f.v).max() <= 1e-15
         assert np.abs(out.sigma - f.sigma).max() <= 1e-15
@@ -158,26 +157,21 @@ class TestStepFactors:
         alpha, beta = 0.4, -0.2
         gen = constant(np.diag([alpha, beta]))
         h = 0.01
-        f = seed_factors(gen, 1.0, h, nsub=4000)[-1]
-        hist = [snapshot_from_arrays(x.u, x.tilde, gen, x.t) for x in
-                seed_factors(gen, 1.0, h, nsub=4000)[:2]]
-        out = step_factors(f, hist, gen, h)
+        seeds = seed_factors(gen, 1.0, h, nsub=4000)
+        out, _ = step_factors(seeds[2], start_history(seeds, gen), gen, h)
         assert np.abs(np.abs(out.u) - np.eye(2)).max() <= 1e-6
         assert np.abs(np.abs(out.v) - np.eye(2)).max() <= 1e-6
-        assert np.isclose(out.sigma1 / f.sigma1, np.exp(alpha * h), rtol=1e-6)
+        assert np.isclose(out.sigma1 / seeds[2].sigma1, np.exp(alpha * h), rtol=1e-6)
 
     def test_demo_oracle_crosscheck(self, demo_cfg, demo_gen, demo_seeds,
                                     demo_oracles):
         # 400 steps of the factor flow against finely integrated propagators
         h = demo_cfg.step_size
         f = demo_seeds[2]
-        history = [snapshot_from_arrays(x.u, x.tilde, demo_gen, x.t)
-                   for x in demo_seeds[:2]]
+        history = start_history(demo_seeds, demo_gen)
         worst = 0.0
         for i in range(demo_cfg.n_steps):
-            snap = snapshot_from_arrays(f.u, f.tilde, demo_gen, f.t)
-            f = step_factors(f, history, demo_gen, h, snapshot=snap)
-            history = [history[1], snap]
+            f, history = step_factors(f, history, demo_gen, h)
             gap = np.abs(reconstruct_phi(f) - demo_oracles[i + 1]).max()
             worst = max(worst, gap)
         assert worst <= 1e-4
