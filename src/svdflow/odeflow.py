@@ -68,7 +68,8 @@ def propagator(a: Generator, t0: float, t1: float, nsteps: int,
                phi0: np.ndarray | None = None) -> np.ndarray:
     """Integrate Phi' = A(t) Phi by matrix RK2 from Phi(t0) = phi0 (default I).
 
-    One substep at a time: the sequential reference for `step_products`.
+    One substep at a time: the sequential reference for `step_products`. A
+    is evaluated on chunks of substep starts and midpoints, as there.
     """
     if t1 < t0:
         raise InvalidInputError(f"need t1 >= t0, got [{t0}, {t1}]")
@@ -78,25 +79,34 @@ def propagator(a: Generator, t0: float, t1: float, nsteps: int,
     if nsteps < 1:
         raise InvalidInputError("nsteps must be >= 1")
     h = (t1 - t0) / nsteps
-    for i in range(nsteps):
-        t = t0 + i * h
-        k1 = a(t) @ phi
-        phi = phi + h * (a(t + h / 2.0) @ (phi + (h / 2.0) * k1))
-        if not np.all(np.isfinite(phi)):
-            raise OverflowGuardError(f"non-finite propagator at t={t:g}", step=i)
+    per_chunk = max(1, CHUNK_ELEMENTS // (a.dim * a.dim))
+    for i0 in range(0, nsteps, per_chunk):
+        ts = t0 + np.arange(i0, min(i0 + per_chunk, nsteps)) * h
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, t, start, mid in zip(range(i0, nsteps), ts, _evaluate(a, ts),
+                                        _evaluate(a, ts + h / 2.0)):
+                phi = phi + h * (mid @ (phi + (h / 2.0) * (start @ phi)))
+                if not np.all(np.isfinite(phi)):
+                    raise OverflowGuardError(f"non-finite propagator at t={t:g}",
+                                             step=i)
     return phi
+
+
+def _evaluate(a: Generator, ts: np.ndarray) -> np.ndarray:
+    """A on a 1-d array of times, checked to be shaped (len(ts), dim, dim)."""
+    out = a(ts)
+    if np.shape(out) != (len(ts), a.dim, a.dim):
+        raise InvalidInputError(
+            f"A(t) on {len(ts)} times has shape {np.shape(out)}, not "
+            f"{(len(ts), a.dim, a.dim)}: it must accept an array of times")
+    return out
 
 
 def _deviations(a: Generator, ts: np.ndarray, h: float) -> np.ndarray:
     """D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t) for every substep start t.
     A is sampled on two grids: in some heap layouts the temporaries of one
     joint grid were refaulted on every chunk of a set-up."""
-    start, mid = a(ts), a(ts + h / 2.0)
-    for out in (start, mid):
-        if np.shape(out) != (len(ts), a.dim, a.dim):
-            raise InvalidInputError(
-                f"A(t) on {len(ts)} times has shape {np.shape(out)}, not "
-                f"{(len(ts), a.dim, a.dim)}: it must accept an array of times")
+    start, mid = _evaluate(a, ts), _evaluate(a, ts + h / 2.0)
     return h * mid + (h * h / 2.0) * (mid @ start)
 
 

@@ -1,31 +1,31 @@
 """Statevector circuit emulator for the factor-flow updates.
 
 Registers are little-endian: qubit 0 is the least significant bit of the
-basis-state index. Vectors of dimension N are embedded into the next power
-of two with zero padding. Every gate is a full-register matrix, applied as
-one product (`u @ amps`, or `u @ rho @ u^dagger` on a density matrix);
-the qubit list that comes with a gate names only the qubits its
-depolarizing noise acts on. States (..., 2^n) and gates (B, 2^n, 2^n) may be
-stacks that broadcast, so the rows of a stack of factors (U and V) run as
-one circuit, each under its own factor's gate, so does each interferometer
-family, and so do the dilation circuits of several grid points
-(`dilation_stack`). `sample_probs` draws a whole stack of probability vectors
-in one pass. Every gate is checked for unitarity when it is applied, by one
-norm over a stack, except the cached constant gates (S^dagger, mixing,
-ancilla Hadamard), which are checked once, when they are built.
+basis-state index. A state is a plain complex array (..., 2^q); `encode`
+pads vectors to the next power of two and checks their norms. Every gate is
+a full-register matrix applied as one product, and the qubits listed with
+it name only those its depolarizing noise acts on. States and gates
+(B, 2^q, 2^q) may be stacks that broadcast: the rows of U and V run as one
+circuit, so does each interferometer family, and so do the dilation
+circuits of several grid points. Each gate is checked for unitarity once,
+where it is built (`checked_gate`); the constant gates are checked inside
+their cached builders, which return them read-only.
 
 `qsvd_step`, the one step of the factor flow, and its circuits take an
 optional `ShotPlan`: the shots per circuit and the `NoiseSpec` (per-gate
-depolarizing, symmetric readout flips) every circuit runs under, all zero
-for noise-free sampling. Without a plan the step is `svdeom.step_factors`,
-the exact flow, and the dilation reads its amplitudes directly.
+depolarizing, symmetric readout flips). Without a plan the step is
+`svdeom.step_factors`, and the dilation reads its amplitudes directly.
 
-Noise has one representation: `circuit_probs` evolves a density matrix
-through each gate followed by the exact depolarizing channel on the qubits
-listed with the gate, in closed form. A multinomial draw from the resulting
-distribution is identical in distribution to running every shot as its own
-independent noisy execution - the granularity at which hardware repeats a
-circuit. `apply_unitary` is the noise-free statevector gate.
+Gate noise is the exact depolarizing channel after each gate on its qubits.
+The row and phase circuits list none, so their noise acts on the whole
+register, rho -> (1 - p) rho + p I/d. That channel commutes with every
+unitary, so after g gates the state is exactly f |psi><psi| + (1 - f) I/d,
+with psi the noise-free statevector and f = (1 - p)^g (Vovrosh et al., PRE
+104, 035309, 2021): `circuit_probs` runs psi and mixes the noise into
+|psi|^2 in closed form. The dilation's gates act on the ancilla or the
+system alone, so a noisy dilation evolves a density matrix through
+`_depolarize`. A multinomial draw from either distribution is identical in
+distribution to running every shot as its own noisy execution.
 
 Determinism: the only randomness is the multinomial draw of each measured
 circuit's shots. Step i of a measured run draws its rows and phases from
@@ -127,39 +127,24 @@ class ShotPlan:
             raise InvalidInputError("n_shots must be >= 1")
 
 
-@dataclass(frozen=True)
-class StateVec:
-    """Amplitudes (..., 2^n_qubits): one state or a stack of states."""
+def _checked_state(amps: np.ndarray) -> np.ndarray:
+    norm_sq = np.vecdot(amps, amps).real  # |norm - 1| <= 1e-12; NaN fails
+    if not ((norm_sq >= (1 - 1e-12) ** 2) & (norm_sq <= (1 + 1e-12) ** 2)).all():
+        raise InvalidInputError(f"state norm {np.sqrt(norm_sq)} deviates from 1")
+    return amps
 
-    n_qubits: int
-    amps: np.ndarray
 
-    def __post_init__(self):
-        if self.amps.shape[-1:] != (2**self.n_qubits,):
-            raise InvalidInputError("amplitude count must be 2**n_qubits")
-        norm_sq = np.vecdot(self.amps, self.amps).real  # |norm - 1| <= 1e-12; NaN fails
-        if not ((norm_sq >= (1 - 1e-12) ** 2) & (norm_sq <= (1 + 1e-12) ** 2)).all():
-            raise InvalidInputError(f"state norm {np.sqrt(norm_sq)} deviates from 1")
-
-    @classmethod
-    def from_amplitudes(cls, vec: Sequence[complex]) -> "StateVec":
-        vec = np.asarray(vec, dtype=complex)
-        n = vec.shape[-1]
-        dim = max(2, pad_dim(n))
-        amps = np.zeros((*vec.shape[:-1], dim), dtype=complex)
-        amps[..., :n] = vec
-        return cls(n_qubits=int(np.log2(dim)), amps=amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[-1]
+def encode(vecs: Sequence[complex]) -> np.ndarray:
+    """Amplitudes (..., max(2, pad_dim(n))) of one vector or a stack (..., n),
+    zero padded; every member must have unit norm."""
+    vecs = np.asarray(vecs, dtype=complex)
+    n = vecs.shape[-1]
+    amps = np.zeros((*vecs.shape[:-1], max(2, pad_dim(n))), dtype=complex)
+    amps[..., :n] = vecs
+    return _checked_state(amps)
 
 
 UNITARY_TOL = 1e-10  # Frobenius norm that u^dagger u - I of a gate may reach
-
-# Read-only gates built once and checked then (see `_fixed_gate`), by id; the
-# reference held here keeps an id from being reused by another array.
-_FIXED_GATES: dict[int, np.ndarray] = {}
 
 
 def _unitarity_defect(u: np.ndarray) -> np.ndarray:
@@ -167,36 +152,20 @@ def _unitarity_defect(u: np.ndarray) -> np.ndarray:
     return u.conj().mT @ u - np.eye(u.shape[-1])
 
 
-def _checked_gate(u: np.ndarray, qubits: Sequence[int] | None, n_qubits: int
-                  ) -> tuple[np.ndarray, Sequence[int]]:
-    """The full-register gate (or a stack) as a complex array with the qubits
-    its noise acts on (the whole register when None), after shape and
-    unitarity checks; one norm over a stack bounds every member's. A fixed
-    gate was checked when it was built and is not checked again."""
+def checked_gate(u: np.ndarray) -> np.ndarray:
+    """A gate (or a stack) as a complex array, after its unitarity check: one
+    norm over the stack bounds every member's."""
     u = np.asarray(u, dtype=complex)
-    dim = 2**n_qubits
-    if u.shape[-2:] != (dim, dim):
-        raise InvalidInputError(
-            f"gate shape {u.shape} does not match a {n_qubits}-qubit register")
-    if (_FIXED_GATES.get(id(u)) is not u
-            and not np.linalg.norm(_unitarity_defect(u)) <= UNITARY_TOL):  # NaN fails
+    if not np.linalg.norm(_unitarity_defect(u)) <= UNITARY_TOL:  # NaN fails
         raise InvalidGateError("gate matrix is not unitary")
-    return u, range(n_qubits) if qubits is None else qubits
-
-
-def _fixed_gate(u: np.ndarray) -> np.ndarray:
-    """A gate (or stack) that is built once and cached: checked here, made
-    read-only and registered, so that `_checked_gate` skips its re-check."""
-    u, _ = _checked_gate(u, None, u.shape[-1].bit_length() - 1)
-    u.flags.writeable = False
-    _FIXED_GATES[id(u)] = u
     return u
 
 
-def apply_unitary(state: StateVec, u: np.ndarray) -> StateVec:
-    """Apply a full-register unitary to a statevector; stacks broadcast."""
-    u, _ = _checked_gate(u, None, state.n_qubits)
-    return StateVec(n_qubits=state.n_qubits, amps=np.matvec(u, state.amps))
+def _evolve(amps: np.ndarray, gates: Sequence[tuple]) -> np.ndarray:
+    """The statevector after a gate list, its norm checked after each gate."""
+    for u, _ in gates:
+        amps = _checked_state(np.matvec(u, amps))
+    return amps
 
 
 def _depolarize(rho: np.ndarray, qubits: Sequence[int], n_qubits: int,
@@ -222,28 +191,30 @@ def _depolarize(rho: np.ndarray, qubits: Sequence[int], n_qubits: int,
     return (1.0 - p) * rho + p * np.moveaxis(mixed, last, axes_q).reshape(rho.shape)
 
 
-def circuit_probs(state: StateVec, gates: Sequence[tuple], noise: NoiseSpec | None
+def circuit_probs(state: np.ndarray, gates: Sequence[tuple], noise: NoiseSpec | None
                   ) -> np.ndarray:
-    """Measurement probabilities after a gate list [(u, qubits), ...].
-
-    Each u is a full-register matrix (little-endian, like the register) or
-    a stack of them; qubits (None for all) names only the qubits its
-    depolarizing noise acts on. The stack axes of the state and the gates
-    broadcast, and the probabilities come back with them: (..., 2^n).
-    Without gate noise this is a pure statevector run. With gate noise
-    the exact depolarizing channel is applied per gate on a density matrix;
-    a multinomial draw from the result is distributionally identical to
-    running each shot as an independent Pauli trajectory (iid per shot),
-    which is how hardware executes repeated circuits.
-    """
-    if noise is None or not noise.any_gate_noise:
-        for u, _ in gates:
-            state = apply_unitary(state, u)
-        return np.abs(state.amps) ** 2
-    n = state.n_qubits
-    rho = state.amps[..., :, None] * state.amps[..., None, :].conj()
+    """Measurement probabilities (..., 2^q) after a gate list [(u, qubits),
+    ...] of full-register gates (or stacks) that were checked when built;
+    qubits (None for all) names the qubits of u's depolarizing noise. Stack
+    axes broadcast. A statevector run, with whole-register noise mixed in
+    as f |psi|^2 + (1 - f)/d, unless a noisy gate lists qubits: then a
+    density matrix goes through `_depolarize` after each gate."""
+    dim = state.shape[-1]
+    n = dim.bit_length() - 1
+    for u, _ in gates:
+        if np.shape(u)[-2:] != (dim, dim):
+            raise InvalidInputError(
+                f"gate shape {np.shape(u)} does not match a {n}-qubit register")
+    gate_noise = noise is not None and noise.any_gate_noise
+    if not gate_noise or all(qubits is None for _, qubits in gates):
+        probs = np.abs(_evolve(state, gates)) ** 2
+        if not gate_noise:
+            return probs
+        f = (1.0 - (noise.p1 if n == 1 else noise.p2)) ** len(gates)
+        return f * probs + (1.0 - f) / dim
+    rho = state[..., :, None] * state[..., None, :].conj()
     for u, qubits in gates:
-        u, qubits = _checked_gate(u, qubits, n)
+        qubits = range(n) if qubits is None else qubits
         rho = u @ rho @ u.conj().mT
         p = noise.p1 if len(qubits) == 1 else noise.p2
         if p > 0.0:
@@ -311,9 +282,9 @@ def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
         raise InvalidInputError("row/matrix dimension mismatch")
     gate = cay_zt[..., None, :, :]  # one gate per factor, broadcast over its rows
     predicted = np.matvec(gate, rows)
-    states = StateVec.from_amplitudes(rows)
-    probs = circuit_probs(states, [(embed_unitary(gate.astype(complex), states.dim),
-                                    None)], plan.noise)
+    states = encode(rows)
+    gate = embed_unitary(checked_gate(gate), states.shape[-1])
+    probs = circuit_probs(states, [(gate, None)], plan.noise)
     p = sample_probs(probs, plan, rng)[..., :n].astype(float)
     total = p.sum(axis=-1, keepdims=True)
     if (total == 0.0).any():
@@ -334,7 +305,9 @@ def _interferometer_gates(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     sdg[k, js, js] = -1j
     mix[k, 0, 0] = mix[k, 0, js] = mix[k, js, 0] = 1.0 / np.sqrt(2.0)
     mix[k, js, js] = -1.0 / np.sqrt(2.0)
-    return _fixed_gate(sdg), _fixed_gate(mix)
+    sdg, mix = checked_gate(sdg), checked_gate(mix)
+    sdg.flags.writeable = mix.flags.writeable = False
+    return sdg, mix
 
 
 def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
@@ -346,10 +319,9 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
     two-level interferometers on {|0>, |j>} under the plan's noise: a
     Hadamard-type mixing yields cos(phi_j), the same mixing preceded by an
     S^dagger phase on |j> yields sin(phi_j), and phi_j = atan2(sin, cos).
-    Phase 0 is the reference and stays 0. Each family is one circuit on a stack of n-1
-    gates, one per j. Both families are drawn from `rng` as one (n-1, 2)
-    stack, in the order of j, cos before sin; the count and contrast guards
-    are taken in the same order.
+    Phase 0 is the reference and stays 0. Each family is one circuit on a
+    stack of n-1 gates, one per j. Both families are drawn from `rng` as one
+    (n-1, 2) stack, j by j, cos before sin; the guards follow that order.
     """
     phases = np.asarray(phases, dtype=float)
     if np.any(np.abs(phases) >= np.pi):
@@ -358,9 +330,9 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
     factors = cayley_diag(lplus_mid, h)
     if rng is None:
         raise InvalidInputError("a ShotPlan needs an rng")
-    base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(n))
-    evo = embed_unitary(np.diag(factors), base.dim)
-    sdg, mix = _interferometer_gates(n, base.dim)
+    base = encode(np.exp(1j * phases) / np.sqrt(n))
+    evo = checked_gate(embed_unitary(np.diag(factors), base.shape[-1]))
+    sdg, mix = _interferometer_gates(n, base.shape[-1])
     probs = np.stack([
         circuit_probs(base, [(evo, None), (mix, None)], plan.noise),
         circuit_probs(base, [(evo, None), (sdg, None), (mix, None)], plan.noise),
@@ -405,8 +377,10 @@ def _ancilla_hadamard(dim: int) -> np.ndarray:
     """H on an ancilla above a dim-dimensional system (the ancilla is the
     most significant qubit), built and checked once per dim and returned
     read-only."""
-    return _fixed_gate(np.kron(np.array([[1, 1], [1, -1]], dtype=complex)
+    had = checked_gate(np.kron(np.array([[1, 1], [1, -1]], dtype=complex)
                                / np.sqrt(2.0), np.eye(dim)))
+    had.flags.writeable = False
+    return had
 
 
 def _block_diagonal(mats: np.ndarray, dim: int) -> np.ndarray:
@@ -451,10 +425,9 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
     if plan is not None and rngs is None:
         raise InvalidInputError("a ShotPlan needs an rng", step_of(0))
     n = len(v0)
-    system = StateVec.from_amplitudes(v0)
-    n_sys, dim = system.n_qubits, system.dim
-    anc = n_sys  # ancilla is the most significant qubit
-    state = StateVec(n_sys + 1, np.concatenate([system.amps, np.zeros(dim)]))
+    dim = max(2, pad_dim(n))
+    n_sys = anc = dim.bit_length() - 1  # the ancilla is the most significant qubit
+    state = encode(np.concatenate([v0, np.zeros(dim)]))  # v0 (x) ancilla |0>
     had = _ancilla_hadamard(dim)
     sys_qubits = list(range(n_sys))
 
@@ -465,13 +438,13 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
     u_sigma[:, diag, diag] = np.concatenate([sp, np.conj(sp)], axis=-1)
     own = [_block_diagonal(np.array([f.v.T for f in factors]), dim), u_sigma,
            _block_diagonal(np.array([f.u for f in factors]), dim)]
-    gates = [(had, [anc]), (own[0], sys_qubits), (own[1], list(range(n_sys + 1))),
-             (own[2], sys_qubits), (had, [anc])]
 
     try:
+        gates = [(had, [anc]), (checked_gate(own[0]), sys_qubits),
+                 (checked_gate(own[1]), list(range(n_sys + 1))),
+                 (checked_gate(own[2]), sys_qubits), (had, [anc])]
         if plan is None:
-            for u, _ in gates:
-                state = apply_unitary(state, u)
+            state = _evolve(state, gates)
         else:
             full_probs = circuit_probs(state, gates, plan.noise)
     except InvalidGateError as exc:
@@ -484,7 +457,7 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
         raise
 
     if plan is None:
-        block = state.amps[:, :dim]
+        block = state[:, :dim]
         acceptance = np.sum(np.abs(block) ** 2, axis=-1)
         starved = np.flatnonzero(acceptance == 0.0)
         if len(starved):

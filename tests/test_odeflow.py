@@ -202,12 +202,15 @@ class TestStepProducts:
         assert rel_gap(np.eye(4) + d[0], propagator(gen, 0.0, 1.0, m)) <= 1e-13
 
     def test_scalar_only_generator_rejected(self):
-        # A evaluated only at single times: step_products names the shape it
-        # got instead of failing in numpy broadcasting
+        # A evaluated only at single times: step_products and the sequential
+        # propagator name the shape they got instead of failing in numpy
+        # broadcasting
         a = np.array([[-0.5, 0.3], [0.2, -0.1]])
         gen = Generator(dim=2, matrix=lambda t: a)
         with pytest.raises(InvalidInputError, match=r"shape \(2, 2\)"):
             step_products(gen, [(0.0, 1.0, 1, 400)])
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 2\)"):
+            propagator(gen, 0.0, 1.0, 400)
 
     @pytest.mark.parametrize("gen", [
         two_state_generator(DEFAULT_DEMO_MODEL),
@@ -241,6 +244,21 @@ class TestOverflowGuard:
         with pytest.raises(OverflowGuardError) as info:
             apply_step_products(d, np.eye(2))
         assert info.value.step == 3
+
+    def test_propagator_names_substep(self):
+        # 5,000 substeps of 4e-4 span three chunks of A evaluations; the
+        # growing entry of the diagonal Phi follows the scalar RK2
+        # recurrence bit for bit, which says where Phi leaves double range
+        t1, nsteps = 2.0, 5000
+        h, x, step = t1 / nsteps, np.float64(1.0), -1
+        with np.errstate(over="ignore"):
+            while np.isfinite(x):
+                x = x + h * (400.0 * (x + (h / 2.0) * (400.0 * x)))
+                step += 1
+        assert CHUNK_ELEMENTS // 4 < step < nsteps
+        with pytest.raises(OverflowGuardError, match=f"t={step * h:g}") as info:
+            propagator(self.growth, 0.0, t1, nsteps)
+        assert info.value.step == step
 
     def test_seed_factors(self):
         # [0, 1.9] stays finite; the product up to t_seed = 2 does not

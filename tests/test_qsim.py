@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import constant, random_factors
 from svdflow import matcore, qsim
 from svdflow.config import RunConfig, build_generator
+from svdflow.runner import run_qsvd
 from svdflow.errors import (
     DegenerateSingularValuesError,
     InvalidGateError,
@@ -17,12 +19,12 @@ from svdflow.odeflow import seed_factors
 from svdflow.qsim import (
     NoiseSpec,
     ShotPlan,
-    StateVec,
-    apply_unitary,
+    checked_gate,
     default_sign_floor,
     derive_rng,
     dilation_circuit,
     embed_unitary,
+    encode,
     evolve_sigma_phase,
     pad_dim,
     propagate_row,
@@ -86,25 +88,32 @@ class TestPlumbing:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_encode_pads_to_a_register(self):
+        for n, dim in ((1, 2), (2, 2), (3, 4), (5, 8)):
+            vec = np.full(n, 1.0 / np.sqrt(n))
+            amps = encode(np.stack([vec, vec]))
+            assert amps.shape == (2, dim) and amps.dtype == complex
+            assert np.array_equal(amps[:, :n], [vec, vec]) and not amps[:, n:].any()
+
     def test_statevec_norm_check(self):
-        with pytest.raises(InvalidInputError):
-            StateVec(1, np.array([1.0, 1.0], dtype=complex))
+        with pytest.raises(InvalidInputError, match="state norm"):
+            encode([1.0, 1.0])
         # one bad member of a stack is enough
-        with pytest.raises(InvalidInputError):
-            StateVec(1, np.array([[1.0, 0.0], [0.6, 0.8], [0.6, 0.9]], dtype=complex))
+        with pytest.raises(InvalidInputError, match="state norm"):
+            encode([[1.0, 0.0], [0.6, 0.8], [0.6, 0.9]])
         # the tolerance is 1e-12 on the norm itself
         for dev in (0.5e-12, -0.5e-12):
-            StateVec(1, np.array([1.0 + dev, 0.0], dtype=complex))
+            encode([1.0 + dev, 0.0])
         for dev in (2e-12, -2e-12):
-            with pytest.raises(InvalidInputError):
-                StateVec(1, np.array([1.0 + dev, 0.0], dtype=complex))
+            with pytest.raises(InvalidInputError, match="state norm"):
+                encode([1.0 + dev, 0.0])
 
     def test_statevec_rejects_nan(self):
         # a NaN norm compares False against both bounds; it must still fail
-        with pytest.raises(InvalidInputError):
-            StateVec(1, np.array([np.nan, 0.0], dtype=complex))
-        with pytest.raises(InvalidInputError):
-            StateVec(1, np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex))
+        with pytest.raises(InvalidInputError, match="state norm"):
+            encode([np.nan, 0.0])
+        with pytest.raises(InvalidInputError, match="state norm"):
+            encode([[1.0, 0.0], [np.nan, 1.0]])
 
     def test_noise_spec_validation(self):
         for value in (1.5, True, "0.1", None):
@@ -113,50 +122,73 @@ class TestPlumbing:
 
 
 class TestApplyUnitary:
+    """Gates applied by noise-free circuit runs, and the unitarity check
+    every gate passes where it is built."""
+
     def test_identity_noop(self):
-        st = StateVec.from_amplitudes([0.6, 0.8j])
-        out = apply_unitary(st, np.eye(2))
-        assert np.array_equal(out.amps, st.amps)
+        st = encode([0.6, 0.8j])
+        probs = qsim.circuit_probs(st, [(np.eye(2), None)], None)
+        assert np.array_equal(probs, np.abs(st) ** 2)
 
     def test_hadamard(self):
-        st = StateVec.from_amplitudes([1.0, 0.0])
-        out = apply_unitary(st, HAD)
-        assert np.abs(out.amps - np.array([1, 1]) / np.sqrt(2)).max() <= 1e-15
+        probs = qsim.circuit_probs(encode([1.0, 0.0]), [(HAD, None)], NoiseSpec())
+        assert np.abs(probs - 0.5).max() <= 1e-15
+
+    def test_norm_checked_after_every_gate(self):
+        # a gate that was never checked cannot leave an unnormalized state
+        with pytest.raises(InvalidInputError, match="state norm"):
+            qsim.circuit_probs(encode([1.0, 0.0]), [(HAD, None), (2.0 * HAD, None)], None)
 
     def test_rejects_nonunitary(self):
-        st = StateVec.from_amplitudes([1.0, 0.0])
-        with pytest.raises(InvalidGateError):
-            apply_unitary(st, np.array([[1.0, 0.0], [0.0, 1.1]]))
+        with pytest.raises(InvalidGateError, match="not unitary"):
+            checked_gate(np.array([[1.0, 0.0], [0.0, 1.1]]))
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.1, p2=0.1)])
     def test_rejects_nan_gate(self, noise):
-        # alone and as one member of a gate stack, in both branches
-        st = StateVec.from_amplitudes([0.6, 0.8])
+        # alone and as one member of a stack; the row circuits check their
+        # gate stack before they run, noisy or not
         nan_gate = np.full((2, 2), np.nan)
         for gate in (nan_gate, np.array([np.eye(2), nan_gate])):
-            with pytest.raises(InvalidGateError):
-                qsim.circuit_probs(st, [(gate, None)], noise)
+            with pytest.raises(InvalidGateError, match="not unitary"):
+                checked_gate(gate)
+        with pytest.raises(InvalidGateError, match="not unitary") as excinfo:
+            propagate_row(np.stack([np.eye(2)] * 2), np.array([np.eye(2), nan_gate]),
+                          ShotPlan(100, noise or NoiseSpec()), derive_rng(0))
+        assert excinfo.value.step is None
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.1, p2=0.1)])
     def test_gate_must_span_the_register(self, noise):
         # a 2x2 gate on a 2-qubit register is rejected in the statevector
         # and the density-matrix branch alike, not applied to a subset
-        st = StateVec.from_amplitudes([0.6, 0.0, 0.8, 0.0])
+        st = encode([0.6, 0.0, 0.8, 0.0])
         with pytest.raises(InvalidInputError, match="register"):
             qsim.circuit_probs(st, [(HAD, [0])], noise)
 
 
 class TestFixedGates:
-    """Cached constant gates are checked once, when they are built; every
-    other gate is checked on every application."""
+    """Every gate is checked once, where it is built: the cached constants
+    inside their builders, the others by the function that builds them."""
 
-    def test_each_constant_checked_once(self, monkeypatch):
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The gates qsim checks from here on, with the constants' caches
+        cleared."""
         qsim._interferometer_gates.cache_clear()
         qsim._ancilla_hadamard.cache_clear()
-        checked = []
-        defect = qsim._unitarity_defect
-        monkeypatch.setattr(qsim, "_unitarity_defect",
-                            lambda u: checked.append(u) or defect(u))
+        seen = []
+        check = qsim.checked_gate
+
+        def spy(u):
+            seen.append(check(u))
+            return seen[-1]
+
+        monkeypatch.setattr(qsim, "checked_gate", spy)
+        return seen
+
+    def test_each_constant_checked_once(self, checked):
+        # inside its builder: building them makes every check so far
+        constants = [*qsim._interferometer_gates(3, 4), qsim._ancilla_hadamard(4)]
+        assert [id(u) for u in checked] == [id(u) for u in constants]
         rng = np.random.default_rng(12)
         f = random_factors(rng, 3)
         plan = ShotPlan(1000, NoiseSpec(p1=1e-3, p2=1e-2))
@@ -165,27 +197,45 @@ class TestFixedGates:
                                0.1, plan, derive_rng(seed))
             for p in (None, plan):
                 dilation_circuit(initial_state(3), f, p, derive_rng(seed, 3))
-        constants = [*qsim._interferometer_gates(3, 4), qsim._ancilla_hadamard(4)]
         for const in constants:
             assert not const.flags.writeable
             assert sum(u is const for u in checked) == 1
-        # the gates built per call are checked on every application
-        assert len(checked) > len(constants) + 10
+
+    def test_built_gates_checked_once_per_call(self, checked):
+        # the phase step applies its evolution gate in both families and
+        # checks it once; the rows check their gate stack, the dilation its
+        # three own stacks
+        rng = np.random.default_rng(13)
+        plan = ShotPlan(1000, NoiseSpec(p1=1e-3, p2=1e-2))
+        phase_args = (np.array([0.0, 0.4, 1.1]), np.array([0.0, 0.3, -0.2]), 0.1, plan)
+        evolve_sigma_phase(*phase_args, derive_rng(0))
+        dilation_circuit(initial_state(3), random_factors(rng, 3))
+        del checked[:]
+        evolve_sigma_phase(*phase_args, derive_rng(1))
+        assert len(checked) == 1
+        rows = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0]] * 2)
+        gates = np.stack([matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))),
+                                         0.2).T for _ in range(2)])
+        propagate_row(rows, gates, plan, derive_rng(2))
+        assert len(checked) == 2 and checked[-1].shape == (2, 1, 3, 3)
+        for p in (None, plan):
+            dilation_circuit(initial_state(3), random_factors(rng, 3), p, derive_rng(3))
+        assert len(checked) == 8
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.1, p2=0.1)])
     def test_changed_copy_of_a_constant_rejected(self, noise):
         sdg, mix = qsim._interferometer_gates(3, 4)
-        st = StateVec.from_amplitudes([0.6, 0.0, 0.8, 0.0])
-        qsim.circuit_probs(st, [(sdg, None), (mix, None)], noise)
+        qsim.circuit_probs(encode([0.6, 0.0, 0.8, 0.0]), [(sdg, None), (mix, None)], noise)
         for const in (sdg, mix):
+            assert checked_gate(const) is const
             bad = const.copy()
             bad[1, 0, 0] *= 1.01
-            with pytest.raises(InvalidGateError):
-                qsim.circuit_probs(st, [(bad, None)], noise)
+            with pytest.raises(InvalidGateError, match="not unitary"):
+                checked_gate(bad)
         had = qsim._ancilla_hadamard(2).copy()
         had[0, 1] = np.nan
-        with pytest.raises(InvalidGateError):
-            qsim.circuit_probs(st, [(had, None)], noise)
+        with pytest.raises(InvalidGateError, match="not unitary"):
+            checked_gate(had)
 
 
 class TestStackedCircuits:
@@ -202,16 +252,16 @@ class TestStackedCircuits:
         rng = np.random.default_rng(31)
         dim = 8
         amps = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
-        states = StateVec(3, amps / np.linalg.norm(amps, axis=1, keepdims=True))
+        states = encode(amps / np.linalg.norm(amps, axis=1, keepdims=True))
         gate, last = self.random_unitary(rng, dim), self.random_unitary(rng, dim)
         gate_stack = np.array([self.random_unitary(rng, dim) for _ in range(4)])
-        one = StateVec(3, states.amps[0])
+        one = states[0]
 
         stacked = qsim.circuit_probs(states, [(gate, [0, 2]), (last, [2])], noise)
         assert stacked.shape == (4, dim)
         for i in range(4):
-            single = qsim.circuit_probs(StateVec(3, states.amps[i]),
-                                        [(gate, [0, 2]), (last, [2])], noise)
+            single = qsim.circuit_probs(states[i], [(gate, [0, 2]), (last, [2])],
+                                        noise)
             assert np.abs(stacked[i] - single).max() <= 1e-14
 
         stacked = qsim.circuit_probs(one, [(gate_stack, [0, 2]), (last, [2])], noise)
@@ -221,12 +271,21 @@ class TestStackedCircuits:
                                         noise)
             assert np.abs(stacked[i] - single).max() <= 1e-14
 
+
     @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.05, p2=0.1)])
     def test_nonunitary_member_of_a_gate_stack_rejected(self, noise):
-        st = StateVec.from_amplitudes([0.6, 0.8])
+        # a gate stack is checked as a whole, and the dilation, which builds
+        # its gates from a stack of factor states, names the bad member's step
         stack = np.array([np.eye(2), np.diag([1.0, 1.1])])
-        with pytest.raises(InvalidGateError):
-            qsim.circuit_probs(st, [(stack, None)], noise)
+        with pytest.raises(InvalidGateError, match="not unitary"):
+            checked_gate(stack)
+        f = SvdFactors.from_svd(np.eye(2), np.ones(2), np.eye(2), 0.0)
+        plan = ShotPlan(100, noise or NoiseSpec())
+        for bad in (np.diag([1.0, 1.1]), np.full((2, 2), np.nan)):
+            with pytest.raises(InvalidGateError, match="not unitary") as excinfo:
+                qsim.dilation_stack(initial_state(2), [f, dataclasses.replace(f, v=bad), f],
+                                    plan, [derive_rng(0, i) for i in range(3)], [5, 6, 7])
+            assert excinfo.value.step == 6
 
 
 class TestDepolarize:
@@ -257,32 +316,87 @@ class TestDepolarize:
         assert np.abs(out - 2.0 * np.eye(16) / 16).max() <= 1e-14
 
 
+def depolarized_probs(state, gates, noise):
+    """Density-matrix reference: each gate, then the depolarizing channel on
+    the whole register, p1 on one qubit and p2 on more."""
+    n = state.shape[-1].bit_length() - 1
+    p = noise.p1 if n == 1 else noise.p2
+    rho = state[..., :, None] * state[..., None, :].conj()
+    for u, _ in gates:
+        rho = qsim._depolarize(u @ rho @ u.conj().mT, range(n), n, p)
+    return np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+
+
+class TestClosedFormNoise:
+    """Whole-register noise commutes with every gate, so a statevector run
+    with f |psi|^2 + (1 - f)/d mixed in is the density matrix's result."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("p1,p2", [(0.05, 0.2), (0.3, 0.01), (0.2, 0.0),
+                                       (0.0, 0.2), (1.0, 1.0)])
+    def test_matches_depolarize_gate_by_gate(self, n_qubits, p1, p2):
+        # a stack of three states (3, 1, d) against gate stacks of four,
+        # broadcast to (3, 4, d), with a single gate between them
+        rng = np.random.default_rng(40 + n_qubits)
+        dim = 2**n_qubits
+        amps = rng.standard_normal((3, 1, dim)) + 1j * rng.standard_normal((3, 1, dim))
+        states = encode(amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+        unitary = TestStackedCircuits.random_unitary
+        gates = [(np.array([unitary(rng, dim) for _ in range(4)]), None),
+                 (unitary(rng, dim), None),
+                 (np.array([unitary(rng, dim) for _ in range(4)]), None)]
+        noise = NoiseSpec(p1=p1, p2=p2)
+        probs = qsim.circuit_probs(states, gates, noise)
+        want = depolarized_probs(states, gates, noise)
+        assert probs.shape == want.shape == (3, 4, dim)
+        assert np.abs(probs - want).max() <= 1e-14
+        if (p1 if n_qubits == 1 else p2) == 1.0:
+            assert np.array_equal(probs, np.full(probs.shape, 1.0 / dim))
+
+    @pytest.mark.parametrize("dilation", [False, True])
+    def test_only_the_dilation_evolves_a_density_matrix(self, monkeypatch, dilation):
+        # the channel is reached from circuit_probs, called by dilation_stack
+        callers = []
+        depolarize = qsim._depolarize
+
+        def spy(*args):
+            callers.append(sys._getframe(2).f_code.co_name)
+            return depolarize(*args)
+
+        monkeypatch.setattr(qsim, "_depolarize", spy)
+        cfg = RunConfig(model_name="synthetic",
+                        model_params={"n": 3, "seed": 3, "smoothness": 0.1},
+                        t_seed=1.0, t_f=1.05, n_steps=10, seed_substeps=5000,
+                        mode="noisy", n_shots=10**4, noise=NoiseSpec(1e-3, 1e-2, 1e-2),
+                        project=True, dilation=dilation).validate()
+        run_qsvd(cfg)
+        assert set(callers) == ({"dilation_stack"} if dilation else set())
+
+
 class TestSample:
     def test_basis_state_no_noise(self):
-        st = StateVec.from_amplitudes([0.0, 1.0])
-        counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(1000),
+        counts = sample_probs(np.abs(encode([0.0, 1.0])) ** 2, ShotPlan(1000),
                               np.random.default_rng(0))
         assert counts[1] == 1000 and counts[0] == 0
 
     def test_uniform_superposition_binomial_error(self):
-        st = StateVec.from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
-        counts = sample_probs(np.abs(st.amps) ** 2, ShotPlan(10**6),
+        st = encode(np.array([1.0, 1.0]) / np.sqrt(2))
+        counts = sample_probs(np.abs(st) ** 2, ShotPlan(10**6),
                               np.random.default_rng(5))
         assert np.abs(counts / counts.sum() - 0.5).max() <= 3.0 * 5e-4
 
     def test_readout_flip_rate(self):
-        st = StateVec.from_amplitudes([1.0, 0.0])
-        counts = sample_probs(np.abs(st.amps) ** 2,
+        counts = sample_probs(np.abs(encode([1.0, 0.0])) ** 2,
                               ShotPlan(10**6, NoiseSpec(p_ro=0.01)),
                               np.random.default_rng(8))
         se = np.sqrt(0.01 * 0.99 / 10**6)
         assert abs(counts[1] / counts.sum() - 0.01) <= 3.0 * se
 
     def test_deterministic_per_seed(self):
-        st = StateVec.from_amplitudes(np.array([0.6, 0.8]))
-        a = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
+        st = encode(np.array([0.6, 0.8]))
+        a = sample_probs(np.abs(st) ** 2, ShotPlan(5000),
                          np.random.default_rng(2))
-        b = sample_probs(np.abs(st.amps) ** 2, ShotPlan(5000),
+        b = sample_probs(np.abs(st) ** 2, ShotPlan(5000),
                          np.random.default_rng(2))
         assert np.array_equal(a, b)
 
@@ -434,7 +548,7 @@ class TestEvolveSigmaPhase:
         phases, lplus, h = np.array([0.0, 0.4, -0.9]), np.array([0.0, 0.3, -0.2]), 0.5
         plan = ShotPlan(10**4, noise)
         out = evolve_sigma_phase(phases, lplus, h, plan, derive_rng(6, 1))
-        base = StateVec.from_amplitudes(np.exp(1j * phases) / np.sqrt(3))
+        base = encode(np.exp(1j * phases) / np.sqrt(3))
         evo = embed_unitary(np.diag(matcore.cayley_diag(lplus, h)), 4)
         sdg, mix = qsim._interferometer_gates(3, 4)
         one_by_one = derive_rng(6, 1)
@@ -703,6 +817,16 @@ class TestQsvdStep:
             assert np.array_equal(new.v, matcore.nearest_orthogonal(v))
             assert np.array_equal(new.tilde, np.cos(phases))
             state, history = new, new_history
+
+    def test_measured_step_names_its_step(self, demo_cfg, demo_gen, demo_seeds,
+                                          monkeypatch):
+        # a Cayley map that is not unitary stops the row gate check of step 17
+        f, history = demo_seeds[2], start_history(demo_seeds, demo_gen)
+        monkeypatch.setattr(qsim, "cayley", lambda m, h: np.diag([1.0, 1.1]))
+        with pytest.raises(InvalidGateError, match="not unitary") as excinfo:
+            qsvd_step(f, history, demo_gen, demo_cfg.step_size, ShotPlan(100),
+                      step_index=17)
+        assert excinfo.value.step == 17
 
     @pytest.mark.parametrize("seed", [1234, 2**32 + 7])
     def test_streams_of_a_run_are_distinct(self, seed):
