@@ -5,7 +5,8 @@ Sweeps burst-rate parameter sets, runs the exact factor flow for each, and
 reports which candidates keep every numerical guard clear: sigma~2 must stay
 inside (tol_degen-safe, 1 - tol_sat) over [t_seed, t_f], and the flow must
 track the finely integrated propagator to the stated budget. The shipped
-defaults come from this sweep.
+defaults, the keyword defaults of `svdflow.models.two_state_demo`, come
+from this sweep.
 """
 
 import argparse

@@ -19,6 +19,10 @@ Config file schema (JSON, all fields optional):
       "dilation": false
     }
 
+A model's "params" are the keyword parameters of its function in
+`models.MODELS`; a parameter left out takes that function's default, and
+the function checks the values.
+
 Command-line flags win over file values. A partial "noise" object keeps the
 probabilities it does not name, so `--noise-p1` leaves a file's p2 and p_ro.
 """
@@ -26,12 +30,13 @@ probabilities it does not name, so `--noise-p1` leaves a file's p2 and p_ro.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidInputError
-from .models import DEFAULT_DEMO_MODEL, RateChannel, RateModel, synthetic_generator, two_state_generator
+from .models import MODELS
 from .odeflow import Generator
 from .qsim import NoiseSpec
 from .svdeom import DEFAULT_TOL_DEGEN, DEFAULT_TOL_SAT
@@ -107,44 +112,17 @@ class RunConfig:
         return self
 
 
-def _demo_rate_model(params: dict) -> RateModel:
-    d = DEFAULT_DEMO_MODEL
-    merged = {
-        "k0_da": d.donor_to_acceptor.k0,
-        "kinf_da": d.donor_to_acceptor.k_inf,
-        "tau_da": d.donor_to_acceptor.tau,
-        "k0_ad": d.acceptor_to_donor.k0,
-        "kinf_ad": d.acceptor_to_donor.k_inf,
-        "tau_ad": d.acceptor_to_donor.tau,
-    }
-    unknown = set(params) - set(merged)
-    if unknown:
-        raise ConfigError(f"unknown two_state_demo parameters: {sorted(unknown)}")
-    merged.update(params)
-    return RateModel(
-        donor_to_acceptor=RateChannel(merged["k0_da"], merged["kinf_da"], merged["tau_da"]),
-        acceptor_to_donor=RateChannel(merged["k0_ad"], merged["kinf_ad"], merged["tau_ad"]),
-    )
-
-
 def build_generator(cfg: RunConfig) -> Generator:
+    model = MODELS.get(cfg.model_name)
+    if model is None:
+        raise ConfigError(f"unknown model {cfg.model_name!r}")
+    unknown = set(cfg.model_params) - set(inspect.signature(model).parameters)
+    if unknown:
+        raise ConfigError(f"unknown {cfg.model_name} parameters: {sorted(unknown)}")
     try:
-        if cfg.model_name == "two_state_demo":
-            return two_state_generator(_demo_rate_model(cfg.model_params))
-        if cfg.model_name == "synthetic":
-            p = dict(cfg.model_params)
-            unknown = set(p) - {"n", "seed", "smoothness", "omega", "decay"}
-            if unknown:
-                raise ConfigError(f"unknown synthetic parameters: {sorted(unknown)}")
-            for key in ("n", "seed"):
-                if key in p and not (_TYPE_CHECKS["int"](p[key]) and p[key] >= 0):
-                    raise ConfigError(f"synthetic {key} must be an int >= 0, got {p[key]!r}")
-            return synthetic_generator(
-                n=p.pop("n", 2), seed=p.pop("seed", 0),
-                smoothness=float(p.pop("smoothness", 0.1)), **p)
+        return model(**cfg.model_params)
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown model {cfg.model_name!r}")
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -173,13 +151,10 @@ def _apply_mapping(cfg: RunConfig, data: dict) -> RunConfig:
             if "params" in value:
                 updates["model_params"] = value["params"]
         elif key == "noise":
-            if isinstance(value, NoiseSpec):
-                updates["noise"] = value
-            else:
-                try:
-                    updates["noise"] = dataclasses.replace(cfg.noise, **value)
-                except (TypeError, InvalidInputError) as exc:
-                    raise ConfigError(f"bad noise spec: {exc}") from exc
+            try:
+                updates["noise"] = dataclasses.replace(cfg.noise, **value)
+            except (TypeError, InvalidInputError) as exc:
+                raise ConfigError(f"bad noise spec: {exc}") from exc
         elif key in known:
             updates[key] = value
         else:

@@ -1,8 +1,9 @@
 """Concrete generators: the two-state charge-transfer population model and
-synthetic test generators."""
+synthetic test generators, and `MODELS`, the table of config models."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,30 +33,24 @@ class RateChannel:
         return self.k_inf + (self.k0 - self.k_inf) * np.exp(-t / self.tau)
 
 
-@dataclass(frozen=True)
-class RateModel:
-    donor_to_acceptor: RateChannel
-    acceptor_to_donor: RateChannel
+def two_state_demo(k0_da: float = 8.5, kinf_da: float = 1.5e-4, tau_da: float = 0.012,
+                   k0_ad: float = 4.25, kinf_ad: float = 7.5e-5,
+                   tau_ad: float = 0.012) -> Generator:
+    """Population rate matrix [[-k_da, k_ad], [k_da, -k_ad]] of two decaying
+    rate channels, donor to acceptor (da) and back (ad), stacked on an array
+    of times; columns sum to zero, so total population is conserved.
 
-
-# Demo parameter set: a strong sub-atomic-unit transient burst (mimicking the
-# short-time spike of nonequilibrium golden-rule rate coefficients) followed
-# by a small plateau. The burst separates the propagator's singular values
-# well before the earliest seed time, keeping every factor-flow guard clear
-# over a [50, 1e4] au run with 400 steps.
-DEFAULT_DEMO_MODEL = RateModel(
-    donor_to_acceptor=RateChannel(k0=8.5, k_inf=1.5e-4, tau=0.012),
-    acceptor_to_donor=RateChannel(k0=4.25, k_inf=7.5e-5, tau=0.012),
-)
-
-
-def two_state_generator(m: RateModel) -> Generator:
-    """Population rate matrix [[-k_da, k_ad], [k_da, -k_ad]], stacked on an
-    array of times; columns sum to zero, so total population is conserved."""
+    The defaults are a strong sub-atomic-unit transient burst (mimicking the
+    short-time spike of nonequilibrium golden-rule rate coefficients)
+    followed by a small plateau. The burst separates the propagator's
+    singular values well before the earliest seed time, keeping every
+    factor-flow guard clear over a [50, 1e4] au run with 400 steps."""
+    da = RateChannel(k0_da, kinf_da, tau_da)
+    ad = RateChannel(k0_ad, kinf_ad, tau_ad)
 
     def matrix(t):
-        k_da = m.donor_to_acceptor.rate(t)
-        k_ad = m.acceptor_to_donor.rate(t)
+        k_da = da.rate(t)
+        k_ad = ad.rate(t)
         return np.stack([-k_da, k_ad, k_da, -k_ad], axis=-1).reshape(*np.shape(t), 2, 2)
 
     return Generator(dim=2, matrix=matrix)
@@ -70,10 +65,13 @@ def analytic_two_state(k_da: float, k_ad: float, t: float) -> tuple[float, float
     return float(p_d), float(1.0 - p_d)
 
 
-def synthetic_generator(n: int, seed: int, smoothness: float,
+def synthetic_generator(n: int = 2, seed: int = 0, smoothness: float = 0.1,
                         omega: float = 0.7, decay: float = 2.0) -> Generator:
     """Seeded random generator A(t) = A0 + smoothness*(A1 sin(wt) + A2 e^{-t/decay}),
     stacked on an array of times."""
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise InvalidInputError(f"synthetic {name} must be an int >= 0, got {value!r}")
     if n < 2:
         raise InvalidInputError("dimension must be >= 2")
     if not np.isfinite((smoothness, omega, decay)).all():
@@ -98,3 +96,8 @@ def skew_generator(n: int, seed: int, smoothness: float = 0.0) -> Generator:
     """Skew-projected synthetic generator; its exact flow is orthogonal."""
     base = synthetic_generator(n, seed, smoothness)
     return Generator(dim=n, matrix=lambda t: skew_part(base(t)))
+
+
+# Config model name -> generator function. A model's keyword parameters and
+# their defaults are its config "params"; the function checks their values.
+MODELS = {"two_state_demo": two_state_demo, "synthetic": synthetic_generator}

@@ -72,7 +72,13 @@ CONTRAST_FLOOR = 0.5  # least cos^2 + sin^2 a measured phase estimate accepts
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 seeded by numpy's SeedSequence([master_seed, *path]). numpy pads
     entropy shorter than four words with zeros, so derive_rng(s, i) is the
-    same stream as derive_rng(s, i, 0) and derive_rng(s, i, 0, 0)."""
+    same stream as derive_rng(s, i, 0) and derive_rng(s, i, 0, 0).
+
+    numpy also splits a seed of 2^32 or more into 32-bit words, so streams
+    alias across master seeds: for s < 2^32, step i of seed s,
+    derive_rng(s, i), is the same stream as step 0 of seed s + i * 2^32,
+    derive_rng(s + i * 2**32, 0). The stream is kept, so that every recorded
+    trajectory keeps its bytes."""
     return np.random.default_rng([int(master_seed), *map(int, path)])
 
 

@@ -7,6 +7,7 @@ from svdflow import cli
 from svdflow.cli import _config_from_args, build_parser, main
 from svdflow.config import RunConfig, build_generator, load_config
 from svdflow.errors import ConfigError
+from svdflow.models import MODELS
 from svdflow.qsim import NoiseSpec
 from svdflow.runner import read_csv
 
@@ -80,8 +81,9 @@ class TestConfig:
             build_generator(RunConfig(model_name="mystery"))
 
     def test_unknown_model_params(self):
-        with pytest.raises(ConfigError):
-            build_generator(RunConfig(model_params={"nope": 1.0}))
+        for name in MODELS:
+            with pytest.raises(ConfigError, match=f"unknown {name} parameters: \\['nope'\\]"):
+                build_generator(RunConfig(model_name=name, model_params={"nope": 1.0}))
 
     @pytest.mark.parametrize("flags,field,value", [
         (["--mode", "sampled"], "mode", "sampled"), (["--shots", "77"], "n_shots", 77),

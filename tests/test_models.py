@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,19 +8,18 @@ from hypothesis import strategies as st
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import ConfigError, InvalidInputError
 from svdflow.models import (
-    DEFAULT_DEMO_MODEL,
+    MODELS,
     RateChannel,
-    RateModel,
     analytic_two_state,
     skew_generator,
     synthetic_generator,
-    two_state_generator,
+    two_state_demo,
 )
 from svdflow.odeflow import apply_step_products, propagator, step_products
 
 
 def constant_model(k_da, k_ad):
-    return RateModel(RateChannel(k_da, k_da, 1.0), RateChannel(k_ad, k_ad, 1.0))
+    return two_state_demo(k_da, k_da, 1.0, k_ad, k_ad, 1.0)
 
 
 class TestRateChannel:
@@ -36,16 +37,16 @@ class TestRateChannel:
 
 class TestTwoStateGenerator:
     def test_zero_rates(self):
-        gen = two_state_generator(constant_model(0.0, 0.0))
+        gen = constant_model(0.0, 0.0)
         assert np.array_equal(gen(3.0), np.zeros((2, 2)))
 
     def test_constant_rates(self):
-        gen = two_state_generator(constant_model(2.0, 1.0))
+        gen = constant_model(2.0, 1.0)
         assert np.array_equal(gen(0.5), np.array([[-2.0, 1.0], [2.0, -1.0]]))
 
     @given(st.floats(0.0, 1e4))
     def test_column_sums_vanish(self, t):
-        gen = two_state_generator(DEFAULT_DEMO_MODEL)
+        gen = two_state_demo()
         assert np.abs(gen(t).sum(axis=0)).max() == 0.0
 
 
@@ -66,7 +67,7 @@ class TestAnalyticTwoState:
 
     def test_matches_integrator(self):
         k_da, k_ad = 1.3, 0.4
-        gen = two_state_generator(constant_model(k_da, k_ad))
+        gen = constant_model(k_da, k_ad)
         d = step_products(gen, [(0.0, 2.0, 1, 20000)])
         state = apply_step_products(d, np.array([1.0, 0.0]))[-1]
         p_d, p_a = analytic_two_state(k_da, k_ad, 2.0)
@@ -94,10 +95,20 @@ class TestSyntheticGenerator:
         assert np.linalg.norm(phi.T @ phi - np.eye(3)) <= 1e-5
 
 
-@pytest.mark.parametrize("model,params", [
+# the hand-picked cases first, so their test ids stay, then NaN for every
+# other float-default parameter of every config model
+NON_FINITE_PARAMS = [
     ("two_state_demo", {"k0_da": np.nan}), ("two_state_demo", {"kinf_da": np.inf}),
     ("two_state_demo", {"tau_ad": np.nan}), ("synthetic", {"smoothness": np.nan}),
-    ("synthetic", {"omega": np.inf}), ("synthetic", {"decay": np.nan})])
+    ("synthetic", {"omega": np.inf}), ("synthetic", {"decay": np.nan})]
+_COVERED = {(name, key) for name, params in NON_FINITE_PARAMS for key in params}
+NON_FINITE_PARAMS += [
+    (name, {key: np.nan}) for name, model in MODELS.items()
+    for key, p in inspect.signature(model).parameters.items()
+    if isinstance(p.default, float) and (name, key) not in _COVERED]
+
+
+@pytest.mark.parametrize("model,params", NON_FINITE_PARAMS)
 def test_non_finite_parameter_rejected_by_the_model(model, params):
     # RateChannel and synthetic_generator raise also outside RunConfig.validate,
     # which build_generator does not call; it maps the error to exit 2

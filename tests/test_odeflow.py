@@ -7,12 +7,7 @@ import scipy.linalg
 from conftest import constant, counting
 from svdflow import matcore
 from svdflow.errors import DegenerateSingularValuesError, InvalidInputError, OverflowGuardError
-from svdflow.models import (
-    DEFAULT_DEMO_MODEL,
-    skew_generator,
-    synthetic_generator,
-    two_state_generator,
-)
+from svdflow.models import MODELS, skew_generator, synthetic_generator, two_state_demo
 from svdflow.odeflow import (
     CHUNK_ELEMENTS,
     Generator,
@@ -52,7 +47,7 @@ class TestRk2Step:
         assert np.isclose(1.0 + d[0, 0, 0], expected, atol=1e-15)
 
     def test_population_conservation(self):
-        gen = two_state_generator(DEFAULT_DEMO_MODEL)
+        gen = two_state_demo()
         v = np.array([0.6, 0.4])
         for t in (0.0, 0.003, 1.0, 100.0):
             # 1^T A = 0 kills every update term; only the final additions round
@@ -74,7 +69,7 @@ class TestRk2Step:
 
 class TestIntegrate:
     def test_single_step_matches_rk2(self):
-        gen = two_state_generator(DEFAULT_DEMO_MODEL)
+        gen = two_state_demo()
         v0 = np.array([1.0, 0.0])
         by_hand = v0 + 0.5 * (gen(0.25) @ (v0 + 0.25 * (gen(0.0) @ v0)))
         assert np.array_equal(one_step(gen, v0, 0.0, 0.5), by_hand)
@@ -132,7 +127,7 @@ class TestPropagator:
         assert np.linalg.norm(phi.T @ phi - np.eye(3)) <= 10.0 * nsteps * h**3
 
     def test_continuation(self):
-        gen = two_state_generator(DEFAULT_DEMO_MODEL)
+        gen = two_state_demo()
         whole = propagator(gen, 0.0, 2.0, 200)
         half = propagator(gen, 0.0, 1.0, 100)
         joined = propagator(gen, 1.0, 2.0, 100, phi0=half)
@@ -167,7 +162,7 @@ class TestSeedFactors:
         assert np.isclose(f.sigma[1], np.exp(-0.3 * 2.0), rtol=1e-5)
 
     def test_rejects_bad_window(self):
-        gen = two_state_generator(DEFAULT_DEMO_MODEL)
+        gen = two_state_demo()
         with pytest.raises(InvalidInputError):
             seed_factors(gen, 1.0, 0.5, nsub=100)
 
@@ -213,10 +208,9 @@ class TestStepProducts:
             propagator(gen, 0.0, 1.0, 400)
 
     @pytest.mark.parametrize("gen", [
-        two_state_generator(DEFAULT_DEMO_MODEL),
-        synthetic_generator(5, seed=4, smoothness=0.3),
+        *(model() for model in MODELS.values()),
         skew_generator(4, seed=7, smoothness=0.2),
-    ], ids=["two_state", "synthetic", "skew"])
+    ], ids=[*MODELS, "skew"])
     def test_grid_evaluator_bit_identical(self, gen):
         # A on an array of times, stacked, is A at each time, bit for bit
         ts = np.concatenate([np.linspace(0.0, 60.0, 997), [1e-3, 0.012, 1e4]])

@@ -5,6 +5,11 @@ import json
 import pathlib
 import re
 
+import numpy as np
+import pytest
+
+from svdflow.config import build_generator, load_config
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -60,6 +65,16 @@ def test_flow_digest_ignores_the_reference(tmp_path, capsys, monkeypatch):
     before, after = (line.split() for line in capsys.readouterr().out.splitlines()[::2])
     assert before[2] != after[2]
     assert before[3] == after[3]
+
+
+@pytest.mark.parametrize("config", sorted((SCRIPTS / "identity").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_identity_config_loads_and_builds(config):
+    # a renamed field or model parameter fails here rather than as
+    # ConfigError@None lines of trajectory_digests.py
+    cfg = load_config(str(config))
+    gen = build_generator(cfg)
+    assert np.isfinite(gen(cfg.t_seed)).all()
 
 
 # Smoke runs of the other scripts on small arguments (the default demo
