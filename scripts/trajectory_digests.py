@@ -15,8 +15,11 @@ diffing the outputs checks that a change keeps every trajectory byte for
 byte; a change that re-bases only the classical reference shows as equal
 flow digests. scripts/identity/ holds the configs of that check:
 the three perfbench workloads, synthetic n=5 sampled with dilation and
-project, the demo noisy with dilation and project, the demo exact, and
-synthetic n=8 exact on [1, 3] (perfbench's oracle self-check config).
+project, the demo noisy with dilation and project, the demo exact,
+synthetic n=8 exact on [1, 3] (perfbench's oracle self-check config), and
+a slow two-state set exact at 800 steps, whose A(t) varies on every chunk
+of the integrator (the demo's is constant after t = 0.575, so its set-up
+composes almost every chunk on the constant path of `odeflow`).
 """
 
 import argparse

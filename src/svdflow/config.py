@@ -84,6 +84,15 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _TYPE_CHECKS.get(f.type, lambda v: True)(value):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # JSON reads integers of any size; all but the rng seed, which only
+        # seeds numpy's SeedSequence, enter float arithmetic
+        reals = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)
+                 if f.type in ("int", "float") and f.name != "rng_seed"]
+        for name, value in [*reals, *self.model_params.items()]:
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} is too large for a double") from None
         if not all(abs(v) < float("inf") for v in self.model_params.values()):  # NaN fails
             raise ConfigError(f"model parameters must be finite, got {self.model_params}")
         if not 0 < self.t_seed < self.t_f < float("inf"):  # NaN fails
@@ -131,7 +140,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # a ValueError is malformed JSON, or an integer of more digits than
+        # Python converts
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         cfg = _apply_mapping(cfg, data)
     if overrides:

@@ -30,7 +30,13 @@ class RateChannel:
             raise InvalidInputError("rate decay time must be positive")
 
     def rate(self, t):
-        return self.k_inf + (self.k0 - self.k_inf) * np.exp(-t / self.tau)
+        x = -t / self.tau
+        if getattr(x, "ndim", 0) == 0:
+            return self.k_inf + (self.k0 - self.k_inf) * np.exp(x)
+        # exp is exactly 0 below -746, and numpy's exp is slow to say so
+        e = np.zeros_like(x)
+        np.exp(x, out=e, where=~(x <= -746.0))
+        return self.k_inf + (self.k0 - self.k_inf) * e
 
 
 def two_state_demo(k0_da: float = 8.5, kinf_da: float = 1.5e-4, tau_da: float = 0.012,
@@ -51,7 +57,12 @@ def two_state_demo(k0_da: float = 8.5, kinf_da: float = 1.5e-4, tau_da: float = 
     def matrix(t):
         k_da = da.rate(t)
         k_ad = ad.rate(t)
-        return np.stack([-k_da, k_ad, k_da, -k_ad], axis=-1).reshape(*np.shape(t), 2, 2)
+        out = np.empty(k_da.shape + (2, 2))
+        out[..., 0, 0] = -k_da
+        out[..., 0, 1] = k_ad
+        out[..., 1, 0] = k_da
+        out[..., 1, 1] = -k_ad
+        return out
 
     return Generator(dim=2, matrix=matrix)
 

@@ -19,6 +19,14 @@ substeps. Seeding, the reference trajectory and the oracle propagators all
 come from this one kernel; `propagator` keeps the substep-by-substep loop as
 the reference the kernel is tested against.
 
+A is evaluated on chunks of substeps. A chunk where A has the same bytes at
+every substep start and midpoint forms its deviation once and composes the
+copies in the tree's order and arithmetic, with at most two products per
+level of the tree, so it keeps every byte. A rate model whose transient has
+decayed below the rounding of its plateau takes this path: the demo's A(t)
+is constant from t = 0.575, so 59 of its 61 set-up chunks do. The synthetic
+generators vary on every chunk and take the tree.
+
 Each segment's deviations are memoized on the `Generator` that evaluated
 them, keyed by the segment. Seeding and the reference both start with the
 `seed_segments` grid, so [0, t_seed] is integrated once per generator. The
@@ -102,12 +110,23 @@ def _evaluate(a: Generator, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _deviations(a: Generator, ts: np.ndarray, h: float) -> np.ndarray:
-    """D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t) for every substep start t.
-    A is sampled on two grids: in some heap layouts the temporaries of one
-    joint grid were refaulted on every chunk of a set-up."""
-    start, mid = _evaluate(a, ts), _evaluate(a, ts + h / 2.0)
+def _deviations(start: np.ndarray, mid: np.ndarray, h: float) -> np.ndarray:
+    """D = h A(t + h/2) + (h^2/2) A(t + h/2) A(t), from A at substep starts
+    and midpoints."""
     return h * mid + (h * h / 2.0) * (mid @ start)
+
+
+def _repeated_sample(start: np.ndarray, mid: np.ndarray) -> np.ndarray | None:
+    """A copy of start[0] if every sample in start and mid has its bytes,
+    else None. Bytes, not values: 0.0 and -0.0 differ, and a NaN matches
+    only its own bit pattern. The first sample is compared with the last
+    one first, so a varying chunk is rejected at once."""
+    first = start[0].tobytes()
+    if mid[-1].tobytes() != first:
+        return None
+    if any(x.tobytes() != first * len(x) for x in (start, mid)):
+        return None
+    return start[0].copy()
 
 
 def _compose_tree(d: np.ndarray) -> np.ndarray:
@@ -116,8 +135,43 @@ def _compose_tree(d: np.ndarray) -> np.ndarray:
         even = d.shape[1] // 2 * 2
         early, late = d[:, 0:even:2], d[:, 1:even:2]
         paired = early + late + late @ early
-        d = np.concatenate([paired, d[:, even:]], axis=1)
+        d = paired if even == d.shape[1] else np.concatenate([paired, d[:, even:]],
+                                                              axis=1)
     return d[:, 0]
+
+
+def _compose_copies(d: np.ndarray, count: int) -> np.ndarray:
+    """`_compose_tree` on `count` copies of d, in its order and arithmetic.
+    Each level of that tree is m copies of one matrix x followed by at most
+    one other matrix, the tail, so a level costs at most two products."""
+    x, m, tail = d, count, None
+    while m + (tail is not None) > 1:
+        if m % 2:  # the last copy is left over, or pairs with the tail
+            tail = x if tail is None else x + tail + tail @ x
+        x, m = x + x + x @ x, m // 2
+    return x if m else tail
+
+
+def _chunk_product(a: Generator, ts: np.ndarray, h: float, intervals: int,
+                   substeps: int) -> np.ndarray:
+    """Composed deviations of a chunk of `intervals` intervals of `substeps`
+    substeps each, starting at ts (row-major): shape (intervals, dim, dim).
+
+    A is sampled on two grids: in some heap layouts the temporaries of one
+    joint grid were refaulted on every chunk of a set-up. The samples are
+    released before the tree runs. If A has the same bytes at every sample,
+    the chunk's one deviation is composed as the tree would compose its
+    copies, and all intervals share that product."""
+    n = a.dim
+    start, mid = _evaluate(a, ts), _evaluate(a, ts + h / 2.0)
+    x = _repeated_sample(start, mid)
+    if x is None:
+        d = _deviations(start, mid, h).reshape(intervals, substeps, n, n)
+        del start, mid
+        return _compose_tree(d)
+    del start, mid
+    return np.broadcast_to(_compose_copies(_deviations(x, x, h), substeps),
+                           (intervals, n, n))
 
 
 def _segment_products(a: Generator, t0: float, t1: float, intervals: int,
@@ -141,8 +195,7 @@ def _segment_products(a: Generator, t0: float, t1: float, intervals: int,
             js = np.arange(j0, min(j0 + cols, substeps))
             ts = t0 + (ks[:, None] * substeps + js).ravel() * h
             with np.errstate(over="ignore", invalid="ignore"):
-                d = _compose_tree(
-                    _deviations(a, ts, h).reshape(len(ks), len(js), n, n))
+                d = _chunk_product(a, ts, h, len(ks), len(js))
                 total = d if total is None else total + d + d @ total
             bad = ~np.isfinite(total).all(axis=(1, 2))
             if bad.any():

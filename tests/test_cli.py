@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ class TestCli:
         cfg = write_config(tmp_path, extra)
         code = main(["qsvd", "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("extra", [
+        {"model": {"name": "synthetic", "params": {"smoothness": 10**400}}},
+        {"model": {"params": {"k0_da": 10**400}}},
+        {"t_f": 10**400},
+        {"n_steps": 10**400},
+        None,
+    ], ids=["smoothness", "k0_da", "t_f", "n_steps", "digits"])
+    def test_huge_integer_exit_code(self, tmp_path, capsys, extra):
+        # JSON integers too large for a double escaped as a TypeError or an
+        # OverflowError traceback (exit 1), and one of more digits than
+        # Python converts as a ValueError
+        cfg = write_config(tmp_path, extra)
+        if extra is None:
+            pathlib.Path(cfg).write_text('{"t_f": 1' + "0" * 5000 + "}")
+        assert main(["reference", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
 

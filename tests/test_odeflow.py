@@ -1,11 +1,13 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import constant, counting
-from svdflow import matcore
+from svdflow import matcore, odeflow
+from svdflow.config import build_generator, load_config
 from svdflow.errors import DegenerateSingularValuesError, InvalidInputError, OverflowGuardError
 from svdflow.models import MODELS, skew_generator, synthetic_generator, two_state_demo
 from svdflow.odeflow import (
@@ -209,11 +211,15 @@ class TestStepProducts:
 
     @pytest.mark.parametrize("gen", [
         *(model() for model in MODELS.values()),
+        two_state_demo(kinf_da=0.0, kinf_ad=0.0),  # no plateau to round exp away
         skew_generator(4, seed=7, smoothness=0.2),
-    ], ids=[*MODELS, "skew"])
+    ], ids=[*MODELS, "two_state_demo_kinf0", "skew"])
     def test_grid_evaluator_bit_identical(self, gen):
         # A on an array of times, stacked, is A at each time, bit for bit
-        ts = np.concatenate([np.linspace(0.0, 60.0, 997), [1e-3, 0.012, 1e4]])
+        # at tau = 0.012, exp(-t / tau) is subnormal on [8.5, 8.94] and 0
+        # beyond, where the rate skips it
+        ts = np.concatenate([np.linspace(0.0, 60.0, 997), [1e-3, 0.012, 1e4],
+                             np.linspace(8.5, 9.0, 51), 8.952 + np.array([-1e-12, 0.0, 1e-12])])
         stacked = gen(ts)
         assert stacked.shape == (len(ts), gen.dim, gen.dim)
         assert all(np.array_equal(stacked[k], gen(float(t))) for k, t in enumerate(ts))
@@ -229,6 +235,7 @@ class TestOverflowGuard:
         with pytest.raises(OverflowGuardError) as info:
             step_products(self.growth, [(0.0, 1.0, 1, 100), (1.0, 5.0, 2, 800)])
         assert info.value.step == 1
+        assert str(info.value) == "non-finite step product on [1, 3]"
 
     def test_apply_names_interval(self):
         d = step_products(self.growth, [(0.0, 1.0, 1, 100), (1.0, 3.0, 4, 100)])
@@ -260,6 +267,7 @@ class TestOverflowGuard:
         with pytest.raises(OverflowGuardError) as info:
             seed_factors(gen, 2.0, 0.05, nsub=2000)
         assert info.value.step == 2
+        assert str(info.value) == "non-finite propagated state on interval 2"
 
     def names_grid_point(self, small_cfg, reference):
         # the second window leaves double range inside [0, t_seed]: grid point 0
@@ -328,3 +336,98 @@ class TestSegmentMemo:
                                  seed_factors(dataclasses.replace(model), *args)):
             assert all(np.array_equal(getattr(shared, name), getattr(alone, name))
                        for name in ("u", "v", "tilde", "sigma1", "t"))
+
+
+def general_path_only(monkeypatch):
+    """Make every chunk compose its deviations through the tree."""
+    monkeypatch.setattr(odeflow, "_repeated_sample", lambda start, mid: None)
+
+
+def tree_shapes(monkeypatch):
+    """The (intervals, substeps) of every chunk composed through the tree."""
+    shapes, compose = [], odeflow._compose_tree
+    monkeypatch.setattr(odeflow, "_compose_tree",
+                        lambda d: shapes.append(d.shape[:2]) or compose(d))
+    return shapes
+
+
+def setup_segments(cfg):
+    return (*seed_segments(cfg.t_seed, cfg.step_size, cfg.seed_substeps),
+            (cfg.t_seed, cfg.t_f, cfg.n_steps, cfg.ref_refine))
+
+
+class TestConstantChunks:
+    """A chunk whose A has the same bytes at every sample composes one
+    deviation in the tree's order: the same bytes, far fewer products."""
+
+    def test_demo_set_up_bytes(self, demo_cfg, monkeypatch):
+        segments = setup_segments(demo_cfg)
+        fast = step_products(build_generator(demo_cfg), segments)
+        general_path_only(monkeypatch)
+        assert fast.tobytes() == step_products(build_generator(demo_cfg), segments).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_constant_generator_bytes(self, n, monkeypatch):
+        m = 0.3 * np.random.default_rng(n).standard_normal((n, n))
+        cases = [(0.0, 2.0, intervals, substeps) for intervals in (1, 40)
+                 for substeps in (1, 2, 3, 5, 50, 2047, 2049, 3 * 2048 + 5)]
+        fast = [step_products(constant(m), [case]) for case in cases]
+        general_path_only(monkeypatch)
+        for case, d in zip(cases, fast):
+            assert d.tobytes() == step_products(constant(m), [case]).tobytes(), case
+
+    def test_demo_trees_only_before_the_plateau(self, demo_cfg, monkeypatch):
+        # A(t) is constant to the bit from t = 0.575; only [0, 0.25] (500
+        # substeps) and the first chunk of [0.25, 25.125] reach back before
+        shapes = tree_shapes(monkeypatch)
+        gen = build_generator(demo_cfg)
+        seed_factors(gen, demo_cfg.t_seed, demo_cfg.step_size, nsub=demo_cfg.seed_substeps)
+        compute_reference(demo_cfg, gen)
+        assert shapes == [(1, 500), (1, 2048)]
+        assert gen(0.57).tobytes() != gen(demo_cfg.t_f).tobytes()
+        assert gen(0.575).tobytes() == gen(demo_cfg.t_f).tobytes()
+
+    def test_varying_generator_takes_the_tree(self, monkeypatch):
+        cfg = load_config(str(pathlib.Path(__file__).resolve().parent.parent / "scripts"
+                              / "identity" / "two_state_slow_exact.json"))
+        shapes = tree_shapes(monkeypatch)
+        segments = setup_segments(cfg)
+        step_products(build_generator(cfg), segments)
+        # every chunk: three seed segments of 2,048-substep chunks, then
+        # 40 intervals of ref_refine substeps per chunk
+        per_chunk = CHUNK_ELEMENTS // 4
+        expected = sum(-(-m // per_chunk) for *_, m in segments[:3]) + cfg.n_steps // 40
+        assert len(shapes) == expected
+
+    def test_check_is_bitwise(self, monkeypatch):
+        m = np.array([[0.0, 0.3], [0.2, -0.1]])
+
+        def matrix(t):
+            out = np.array(np.broadcast_to(m, np.shape(t) + m.shape))
+            if np.ndim(t):
+                out[len(out) // 2, 0, 0] = -0.0  # equal in value, not in bytes
+            return out
+
+        shapes = tree_shapes(monkeypatch)
+        step_products(Generator(dim=2, matrix=matrix), [(0.0, 1.0, 1, 64)])
+        assert shapes == [(1, 64)]
+        shapes.clear()
+        step_products(constant(m), [(0.0, 1.0, 1, 64)])
+        assert shapes == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.complex128])
+    def test_repeated_sample(self, dtype):
+        base = np.broadcast_to(np.array([[1, 2], [3, 4]], dtype=dtype), (5, 2, 2))
+        assert np.array_equal(odeflow._repeated_sample(base, base), base[0])
+        for k in (0, 2, 4):  # the ends and the middle
+            other = base.copy()
+            other[k, 1, 0] = 0
+            assert odeflow._repeated_sample(base, other) is None
+            assert odeflow._repeated_sample(other, base) is None
+
+    def test_repeated_nan_sample(self):
+        nan = np.broadcast_to(np.array([[np.nan, 0.0], [0.0, 1.0]]), (3, 2, 2))
+        assert np.isnan(odeflow._repeated_sample(nan, nan)[0, 0])
+        signed = nan.copy()
+        signed[1, 0, 0] = -np.nan  # another NaN bit pattern
+        assert odeflow._repeated_sample(nan, signed) is None
