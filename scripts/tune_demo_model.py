@@ -3,7 +3,7 @@
 
 Sweeps burst-rate parameter sets, runs the exact factor flow for each, and
 reports which candidates keep every numerical guard clear: sigma~2 must stay
-inside (tol_degen-safe, 1 - tol_sat) over [t_seed, t_f], and the flow must
+inside (TOL_DEGEN-safe, 1 - TOL_SAT) over [t_seed, t_f], and the flow must
 track the finely integrated propagator to the stated budget. The shipped
 defaults, the keyword defaults of `svdflow.models.two_state_demo`, come
 from this sweep.
@@ -18,7 +18,7 @@ import numpy as np
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import NumericalGuardError
 from svdflow.runner import oracle_propagators, run_qsvd
-from svdflow.svdeom import reconstruct_phi
+from svdflow.svdeom import TOL_DEGEN, TOL_SAT, reconstruct_phi
 
 
 def evaluate(params, budget):
@@ -33,8 +33,8 @@ def evaluate(params, budget):
                    for f, phi in zip(result.factors, oracles))
     tildes = np.array([f.tilde[1] for f in result.factors])
     ok = (flow_err <= budget
-          and tildes.max() <= 1.0 - cfg.tol_sat
-          and (1.0 - tildes).min() >= cfg.tol_degen)
+          and tildes.max() <= 1.0 - TOL_SAT
+          and (1.0 - tildes).min() >= TOL_DEGEN)
     return {"ok": ok, "flow_err": flow_err,
             "tilde2_range": (float(tildes.min()), float(tildes.max())),
             "max_dP_D": result.summary["max_abs_dP_D"]}

@@ -13,8 +13,6 @@ Config file schema (JSON, all fields optional):
       "rng_seed": 1234,
       "seed_substeps": 100000,
       "ref_refine": 50,
-      "tol_degen": 1e-8,
-      "tol_sat": 1e-6,
       "project": false,
       "dilation": false
     }
@@ -34,12 +32,13 @@ import inspect
 import json
 import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import ConfigError, InvalidInputError
 from .models import MODELS
 from .odeflow import Generator
 from .qsim import NoiseSpec
-from .svdeom import DEFAULT_TOL_DEGEN, DEFAULT_TOL_SAT
+from .svdeom import TOL_DEGEN
 
 MODES = ("exact", "sampled", "noisy")  # run_qsvd maps each to a ShotPlan
 
@@ -70,10 +69,9 @@ class RunConfig:
     rng_seed: int = 1234
     seed_substeps: int = 100_000
     ref_refine: int = 50
-    tol_degen: float = DEFAULT_TOL_DEGEN
-    tol_sat: float = DEFAULT_TOL_SAT
     project: bool = False
     dilation: bool = False
+    tol_degen: ClassVar[float] = TOL_DEGEN  # not a field; read by perfbench's set-up
 
     @property
     def step_size(self) -> float:
@@ -97,9 +95,6 @@ class RunConfig:
             raise ConfigError(f"model parameters must be finite, got {self.model_params}")
         if not 0 < self.t_seed < self.t_f < float("inf"):  # NaN fails
             raise ConfigError(f"need finite 0 < t_seed < t_f, got {self.t_seed}, {self.t_f}")
-        if not (0 < self.tol_degen < 1 and 0 < self.tol_sat < 1):
-            raise ConfigError(f"need 0 < tol_degen, tol_sat < 1, got {self.tol_degen}, "
-                              f"{self.tol_sat}")
         if self.n_steps < 3:
             raise ConfigError("n_steps must be >= 3 (extrapolation history)")
         if self.t_seed - 2 * self.step_size <= 0:

@@ -58,11 +58,7 @@ def cayley(s: np.ndarray, h: float) -> np.ndarray:
 
     Orthogonal for real skew-symmetric s, unitary for skew-Hermitian s.
     """
-    s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InvalidInputError(f"generator must be square, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("generator contains non-finite entries")
+    s = _require_square_finite(s, "generator")
     n = s.shape[0]
     eye = np.eye(n, dtype=s.dtype)
     hs = (h / 2.0) * s

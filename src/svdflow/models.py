@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .matcore import skew_part
 from .odeflow import Generator
 
 
@@ -91,7 +90,10 @@ def synthetic_generator(n: int = 2, seed: int = 0, smoothness: float = 0.1,
     if decay == 0:
         raise InvalidInputError("decay must be nonzero")
     rng = np.random.default_rng(seed)
-    a0, a1, a2 = (rng.standard_normal((n, n)) for _ in range(3))
+    try:
+        a0, a1, a2 = (rng.standard_normal((n, n)) for _ in range(3))
+    except ValueError as exc:  # numpy cannot shape an (n, n) array
+        raise InvalidInputError(f"synthetic n={n} is too large: {exc}") from exc
 
     def matrix(t):
         t = np.asarray(t, dtype=float)[..., None, None]
@@ -101,12 +103,6 @@ def synthetic_generator(n: int = 2, seed: int = 0, smoothness: float = 0.1,
         return np.add(a0, np.multiply(smoothness, out, out=out), out=out)
 
     return Generator(dim=n, matrix=matrix)
-
-
-def skew_generator(n: int, seed: int, smoothness: float = 0.0) -> Generator:
-    """Skew-projected synthetic generator; its exact flow is orthogonal."""
-    base = synthetic_generator(n, seed, smoothness)
-    return Generator(dim=n, matrix=lambda t: skew_part(base(t)))
 
 
 # Config model name -> generator function. A model's keyword parameters and

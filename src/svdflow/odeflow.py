@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InvalidInputError, OverflowGuardError
 from .matcore import svd
-from .svdeom import DEFAULT_TOL_DEGEN, SvdFactors, check_gaps
+from .svdeom import TOL_DEGEN, SvdFactors, check_gaps
 
 # Generator entries evaluated per chunk of substeps. Fixed, so memory stays
 # flat however many substeps an interval holds.
@@ -272,7 +272,7 @@ def seed_segments(t_seed: float, h: float, nsub: int) -> tuple:
 
 
 def seed_factors(a: Generator, t_seed: float, h: float, nsub: int = 500,
-                 tol_degen: float = DEFAULT_TOL_DEGEN
+                 tol_degen: float = TOL_DEGEN  # perfbench's set-up passes it
                  ) -> tuple[SvdFactors, SvdFactors, SvdFactors]:
     """Classical seeding: SVD factors at t_seed - 2h, t_seed - h, t_seed.
 

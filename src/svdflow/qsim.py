@@ -56,8 +56,6 @@ from .errors import (
 )
 from .matcore import cayley, cayley_diag, nearest_orthogonal
 from .svdeom import (
-    DEFAULT_TOL_DEGEN,
-    DEFAULT_TOL_SAT,
     GeneratorSnapshot,
     SvdFactors,
     midpoint_generators,
@@ -80,13 +78,6 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     derive_rng(s + i * 2**32, 0). The stream is kept, so that every recorded
     trajectory keeps its bytes."""
     return np.random.default_rng([int(master_seed), *map(int, path)])
-
-
-def pad_dim(n: int) -> int:
-    k = 1
-    while k < n:
-        k *= 2
-    return k
 
 
 def embed_unitary(u: np.ndarray, dim: int) -> np.ndarray:
@@ -141,11 +132,11 @@ def _checked_state(amps: np.ndarray) -> np.ndarray:
 
 
 def encode(vecs: Sequence[complex]) -> np.ndarray:
-    """Amplitudes (..., max(2, pad_dim(n))) of one vector or a stack (..., n),
-    zero padded; every member must have unit norm."""
+    """Amplitudes (..., d) of one vector or a stack (..., n), zero padded to
+    d, the least power of two >= max(n, 2); every member must have unit norm."""
     vecs = np.asarray(vecs, dtype=complex)
     n = vecs.shape[-1]
-    amps = np.zeros((*vecs.shape[:-1], max(2, pad_dim(n))), dtype=complex)
+    amps = np.zeros((*vecs.shape[:-1], max(2, 1 << (n - 1).bit_length())), complex)
     amps[..., :n] = vecs
     return _checked_state(amps)
 
@@ -392,12 +383,8 @@ def _ancilla_hadamard(dim: int) -> np.ndarray:
 def _block_diagonal(mats: np.ndarray, dim: int) -> np.ndarray:
     """I_2 (x) embed_unitary(m, dim) for each matrix m of a stack (K, n, n):
     the same gate on the system whatever the ancilla."""
-    k, n = mats.shape[:2]
-    out = np.zeros((k, 2 * dim, 2 * dim), dtype=complex)
-    pad = np.arange(n, dim)
-    for lo in (0, dim):
-        out[:, lo:lo + n, lo:lo + n] = mats
-        out[:, lo + pad, lo + pad] = 1.0
+    out = np.zeros((len(mats), 2 * dim, 2 * dim), dtype=complex)
+    out[:, :dim, :dim] = out[:, dim:, dim:] = embed_unitary(mats, dim)
     return out
 
 
@@ -431,7 +418,7 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
     if plan is not None and rngs is None:
         raise InvalidInputError("a ShotPlan needs an rng", step_of(0))
     n = len(v0)
-    dim = max(2, pad_dim(n))
+    dim = encode(v0).shape[-1]
     n_sys = anc = dim.bit_length() - 1  # the ancilla is the most significant qubit
     state = encode(np.concatenate([v0, np.zeros(dim)]))  # v0 (x) ancilla |0>
     had = _ancilla_hadamard(dim)
@@ -497,9 +484,7 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
 
 def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
               h: float, plan: ShotPlan | None = None, master_seed: int = 0,
-              step_index: int = 0, project: bool = False,
-              tol_degen: float = DEFAULT_TOL_DEGEN, tol_sat: float = DEFAULT_TOL_SAT
-              ) -> tuple[SvdFactors, tuple]:
+              step_index: int = 0, project: bool = False) -> tuple[SvdFactors, tuple]:
     """One step of the factor flow: `svdeom.step_factors` without a plan,
     else measured. Returns the new state and the next history, (history[1],
     the snapshot at the pre-step factors); an error carries step_index.
@@ -513,9 +498,8 @@ def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
     """
     try:
         if plan is None:
-            return step_factors(state, history, a, h, tol_degen, tol_sat)
-        snap = snapshot_from_arrays(state.u, state.tilde, a, state.t,
-                                    tol_degen, tol_sat)
+            return step_factors(state, history, a, h)
+        snap = snapshot_from_arrays(state.u, state.tilde, a, state.t)
         z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
         cay_zt, cay_wt = cayley(z_mid, h).T, cayley(w_mid, h).T
         rng = derive_rng(master_seed, step_index)

@@ -150,20 +150,18 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
     gen = build_generator(cfg) if gen is None else gen
     h = cfg.step_size
     if seeds is None:
-        seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps,
-                             tol_degen=cfg.tol_degen)
+        seeds = seed_factors(gen, cfg.t_seed, h, nsub=cfg.seed_substeps)
     if reference is None:
         reference = compute_reference(cfg, gen)
     ref_grid = reference.grid_states
 
-    history = start_history(seeds, gen, cfg.tol_degen, cfg.tol_sat)
+    history = start_history(seeds, gen)
     factors = [seeds[2]]
     try:
         for i in range(cfg.n_steps):
             state, history = qsvd_step(
                 factors[-1], history, gen, h, plan, master_seed=cfg.rng_seed,
-                step_index=i, project=cfg.project, tol_degen=cfg.tol_degen,
-                tol_sat=cfg.tol_sat)
+                step_index=i, project=cfg.project)
             factors.append(state)
     except SvdFlowError:
         _tabulate(cfg, plan, ref_grid, factors)

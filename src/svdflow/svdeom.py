@@ -11,6 +11,8 @@ with tz = sigma / sigma_1 the rescaled singular values. Z and W are real
 skew-symmetric, so U and V stay orthogonal under Cayley updates; the unit
 complex numbers sp_j = tz_j + i sqrt(1 - tz_j^2) evolve by per-entry Cayley
 factors of -i L, and sigma_1 obeys the scalar ODE sigma_1' = G_11 sigma_1.
+The divisions by gaps and by sqrt(1 - tz^2) are guarded by the module
+constants TOL_DEGEN and TOL_SAT; no run setting changes them.
 
 `SvdFactors` is the one factor state: seeding returns it, the steps take
 and return it (`step_factors` here, the one exact step, and
@@ -41,8 +43,8 @@ from .matcore import cayley, cayley_diag, skew_part
 if TYPE_CHECKING:  # pragma: no cover
     from .odeflow import Generator
 
-DEFAULT_TOL_DEGEN = 1e-8
-DEFAULT_TOL_SAT = 1e-6
+TOL_DEGEN = 1e-8  # least gap |tz_i - tz_j| that Z and W may divide by
+TOL_SAT = 1e-6  # least 1 - |tz_j|, j >= 2, that L's sqrt(1 - tz_j^2) may reach
 
 # Three-point extrapolation to the step midpoint t + h/2 from samples at
 # t, t-h, t-2h; exact for sequences affine in t.
@@ -112,7 +114,7 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def check_gaps(tilde, t, tol_degen=DEFAULT_TOL_DEGEN) -> None:
+def check_gaps(tilde, t, tol_degen=TOL_DEGEN) -> None:
     """The degeneracy guard of seeding and of every snapshot: raise
     DegenerateSingularValuesError if some |tz_i - tz_j| < tol_degen."""
     gaps = np.abs(tilde[:, None] - tilde[None, :])[_upper_pairs(len(tilde))]
@@ -122,8 +124,7 @@ def check_gaps(tilde, t, tol_degen=DEFAULT_TOL_DEGEN) -> None:
             f"at t={t:g}")
 
 
-def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
-                         tol_sat=DEFAULT_TOL_SAT) -> GeneratorSnapshot:
+def snapshot_from_arrays(u, tilde, a, t) -> GeneratorSnapshot:
     """Build the generator snapshot from raw factor arrays.
 
     Accepts tilde values outside (0, 1] (the emulated-measurement path can
@@ -132,10 +133,10 @@ def snapshot_from_arrays(u, tilde, a, t, tol_degen=DEFAULT_TOL_DEGEN,
     """
     u = np.asarray(u, dtype=float)
     tilde = np.asarray(tilde, dtype=float)
-    check_gaps(tilde, t, tol_degen)
-    if np.any(np.abs(tilde[1:]) > 1.0 - tol_sat):
+    check_gaps(tilde, t)
+    if np.any(np.abs(tilde[1:]) > 1.0 - TOL_SAT):
         raise SigmaSaturationError(
-            f"rescaled singular value within {tol_sat:.1e} of 1 at t={t:g}; "
+            f"rescaled singular value within {TOL_SAT:.1e} of 1 at t={t:g}; "
             "the phase generator is ill-conditioned"
         )
     t2 = tilde**2
@@ -185,17 +186,14 @@ def midpoint_generators(snap_i: GeneratorSnapshot,
     return z_mid, w_mid, l_mid, g11_mid
 
 
-def start_history(seeds: Sequence[SvdFactors], a: "Generator",
-                  tol_degen=DEFAULT_TOL_DEGEN, tol_sat=DEFAULT_TOL_SAT) -> tuple:
+def start_history(seeds: Sequence[SvdFactors], a: "Generator") -> tuple:
     """The history of the first step: the snapshots at seeds[0] and seeds[1]
     (t_seed - 2h and t_seed - h), oldest first."""
-    return tuple(snapshot_from_arrays(f.u, f.tilde, a, f.t, tol_degen, tol_sat)
-                 for f in seeds[:2])
+    return tuple(snapshot_from_arrays(f.u, f.tilde, a, f.t) for f in seeds[:2])
 
 
 def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
-                 a: "Generator", h: float, tol_degen=DEFAULT_TOL_DEGEN,
-                 tol_sat=DEFAULT_TOL_SAT) -> tuple[SvdFactors, tuple]:
+                 a: "Generator", h: float) -> tuple[SvdFactors, tuple]:
     """The exact step of size h: the new factors and the next history,
     (history[1], the snapshot at f.t).
 
@@ -204,7 +202,7 @@ def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
     arccos(tz_j) turns by the argument of its Cayley factor, wrapped into
     (-pi, pi], and the new tz is its cosine, as a measured step stores it.
     """
-    snap = snapshot_from_arrays(f.u, f.tilde, a, f.t, tol_degen, tol_sat)
+    snap = snapshot_from_arrays(f.u, f.tilde, a, f.t)
     z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
     u_new = f.u @ cayley(z_mid, h)
     v_new = f.v @ cayley(w_mid, h)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from svdflow.config import RunConfig, build_generator
+from svdflow.matcore import skew_part
+from svdflow.models import synthetic_generator
 from svdflow.odeflow import Generator, seed_factors
 from svdflow.runner import compute_reference, oracle_propagators, run_qsvd
 
@@ -34,8 +36,7 @@ def demo_gen(demo_cfg):
 @pytest.fixture(scope="session")
 def demo_seeds(demo_cfg, demo_gen):
     return seed_factors(demo_gen, demo_cfg.t_seed, demo_cfg.step_size,
-                        nsub=demo_cfg.seed_substeps,
-                        tol_degen=demo_cfg.tol_degen)
+                        nsub=demo_cfg.seed_substeps)
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +66,12 @@ def constant(m):
     m = np.asarray(m, dtype=float)
     return Generator(dim=m.shape[0],
                      matrix=lambda t: np.broadcast_to(m, np.shape(t) + m.shape))
+
+
+def skew_generator(n, seed, smoothness=0.0):
+    """Skew-projected synthetic generator; its exact flow is orthogonal."""
+    base = synthetic_generator(n, seed, smoothness)
+    return Generator(dim=n, matrix=lambda t: skew_part(base(t)))
 
 
 def counting(gen):

@@ -20,7 +20,7 @@ from conftest import counting
 from svdflow.config import build_generator
 from svdflow.odeflow import seed_factors, seed_segments
 from svdflow.qsim import DilationResult, ShotPlan
-from svdflow.runner import compute_reference
+from svdflow.runner import compute_reference, run_qsvd
 from svdflow.svdeom import reconstruct_phi
 
 LAYERS_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -61,6 +61,15 @@ def test_every_target_resolves_to_a_callable(layers):
 def test_hooked_parameters_exist(layers, name, params):
     assert name in layers._HOOKS
     assert params <= set(inspect.signature(target(layers, name)).parameters)
+
+
+def test_set_up_and_run_calls_bind(small_cfg):
+    # perfbench/run.py seeds with these keywords, reading tol_degen off the
+    # config, then runs run_qsvd on the set-up's outputs by position
+    cfg, gen = small_cfg, object()
+    inspect.signature(seed_factors).bind(gen, cfg.t_seed, cfg.step_size,
+                                         nsub=cfg.seed_substeps, tol_degen=cfg.tol_degen)
+    inspect.signature(run_qsvd).bind(cfg, gen, object(), object())
 
 
 def test_hooked_result_fields_exist():

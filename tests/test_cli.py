@@ -201,15 +201,17 @@ class TestCli:
         {"sign_floor": 0.01},
         {"model": {"name": "synthetic", "params": {"n": 2, "seed": -1}}},
         {"rng_seed": -5, "mode": "sampled"},
-        # non-finite times and out-of-range guard tolerances: each escaped
-        # validation, as a traceback (exit 1), a guard switched off (exit 0)
+        # non-finite times: each escaped validation, as a traceback (exit 1)
         # or a guard firing at t=0.25 (exit 3)
         {"t_seed": float("nan")},
         {"t_f": float("nan")},
-        {"tol_degen": float("nan")},
-        {"tol_degen": -1},
-        {"tol_sat": float("nan")},
-        {"tol_sat": 2.0},
+        # the guard tolerances are svdeom constants, not config fields
+        {"tol_degen": 1e-8},
+        {"tol_sat": 1e-6},
+        # a synthetic dimension numpy cannot shape an array of: a ValueError
+        # traceback (exit 1), raised before anything is allocated
+        {"model": {"name": "synthetic", "params": {"n": 10**20}}},
+        {"model": {"name": "synthetic", "params": {"n": 2**32}}},
         # more shots than an int64 count holds: an OverflowError from the
         # sampler (exit 1)
         {"n_shots": 10**20, "mode": "sampled"},

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import skew_generator
 from svdflow.config import RunConfig, build_generator
 from svdflow.errors import ConfigError, InvalidInputError
 from svdflow.models import (
     MODELS,
     RateChannel,
     analytic_two_state,
-    skew_generator,
     synthetic_generator,
     two_state_demo,
 )
 from svdflow.odeflow import apply_step_products, propagator, step_products
+from svdflow.svdeom import TOL_DEGEN, TOL_SAT
 
 
 def constant_model(k_da, k_ad):
@@ -118,10 +119,10 @@ def test_non_finite_parameter_rejected_by_the_model(model, params):
     assert excinfo.value.exit_code == 2
 
 
-def test_default_demo_guard_corridor(demo_cfg, demo_exact_run):
+def test_default_demo_guard_corridor(demo_exact_run):
     """The shipped demo parameters keep sigma~2 inside the guard corridor
-    (tol_degen-safe away from 1 and from 0) over the whole run."""
+    (TOL_DEGEN-safe away from 1 and from 0) over the whole run."""
     tildes = np.array([f.tilde[1] for f in demo_exact_run.factors])
-    assert tildes.max() <= 1.0 - demo_cfg.tol_sat
-    assert (1.0 - tildes).min() >= demo_cfg.tol_degen
+    assert tildes.max() <= 1.0 - TOL_SAT
+    assert (1.0 - tildes).min() >= TOL_DEGEN
     assert tildes.min() > 0.0

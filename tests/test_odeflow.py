@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import constant, counting
+from conftest import constant, counting, skew_generator
 from svdflow import matcore, odeflow
 from svdflow.config import build_generator, load_config
 from svdflow.errors import DegenerateSingularValuesError, InvalidInputError, OverflowGuardError
-from svdflow.models import MODELS, skew_generator, synthetic_generator, two_state_demo
+from svdflow.models import MODELS, synthetic_generator, two_state_demo
 from svdflow.odeflow import (
     CHUNK_ELEMENTS,
     Generator,

@@ -26,7 +26,6 @@ from svdflow.qsim import (
     embed_unitary,
     encode,
     evolve_sigma_phase,
-    pad_dim,
     propagate_row,
     qsvd_step,
     readout_confusion,
@@ -73,7 +72,10 @@ def pauli_sum_depolarize(rho, qubits, n_qubits, p):
 
 class TestPlumbing:
     def test_pad_dim(self):
-        assert [pad_dim(n) for n in (1, 2, 3, 4, 5, 8)] == [1, 2, 4, 4, 8, 8]
+        # encode pads to the least power of two >= n, and to two amplitudes
+        # (one qubit) when n = 1
+        widths = [encode(np.full(n, 1.0 / np.sqrt(n))).shape[-1] for n in (1, 2, 3, 4, 5, 8)]
+        assert widths == [2, 2, 4, 4, 8, 8]
 
     def test_embed_unitary(self):
         u = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -706,7 +708,7 @@ class TestDilation:
         monkeypatch.setattr(qsim, "circuit_probs", spy)
         dilation_circuit(v0, f, ShotPlan(100, noise), rng=derive_rng(1, 0))
 
-        n_sys = int(np.log2(pad_dim(n)))
+        n_sys = (n - 1).bit_length()
         n_qubits = n_sys + 1
         dim = 2**n_sys
         sys_qubits = list(range(n_sys))
