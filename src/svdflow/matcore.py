@@ -1,7 +1,8 @@
 """Dense matrix helpers: SVD with a fixed sign convention, Cayley transform,
 skew-symmetrization and nearest-orthogonal projection.
 
-All functions are pure and operate on plain numpy arrays.
+All functions are pure and operate on plain numpy arrays; `cayley`,
+`skew_part` and `nearest_orthogonal` also on stacks (..., n, n), member by member.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ class SvdTriple(NamedTuple):
     v: np.ndarray
 
 
-def _require_square_finite(m, name="matrix"):
+def _require_square_finite(m, name="matrix", stack=False):
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.ndim > 2 and not stack or m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
 
@@ -54,19 +55,18 @@ def svd(m: np.ndarray) -> SvdTriple:
 
 
 def cayley(s: np.ndarray, h: float) -> np.ndarray:
-    """(I - h/2 s)^{-1} (I + h/2 s).
+    """(I - h/2 s)^{-1} (I + h/2 s), of s or of each member of a stack.
 
     Orthogonal for real skew-symmetric s, unitary for skew-Hermitian s.
     """
-    s = _require_square_finite(s, "generator")
-    n = s.shape[0]
-    eye = np.eye(n, dtype=s.dtype)
+    s = _require_square_finite(s, "generator", stack=True)
+    eye = np.eye(s.shape[-1], dtype=s.dtype)
     hs = (h / 2.0) * s
     try:
         out = np.linalg.solve(eye - hs, eye + hs)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"singular Cayley resolvent: {exc}") from exc
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise StepFailureError("Cayley transform produced non-finite entries")
     return out
 
@@ -78,7 +78,7 @@ def cayley_diag(lam: np.ndarray, h: float) -> np.ndarray:
     real lam, and exactly 1 where lam_j == 0.
     """
     lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise InvalidInputError("diagonal generator contains non-finite entries")
     half = 0.5j * h * lam
     return (1.0 - half) / (1.0 + half)
@@ -94,17 +94,18 @@ def skew_part(m: np.ndarray) -> np.ndarray:
 
 
 def nearest_orthogonal(m: np.ndarray) -> np.ndarray:
-    """Project a full-rank square matrix onto the nearest orthogonal matrix.
+    """The nearest orthogonal matrix to a full-rank square m, or to each of a stack.
 
     Uses the polar factor u @ vt from the SVD m = u diag(s) vt. Flipping a
     column of u and the matching row of vt leaves u @ vt as it is, so the
     sign convention of `svd` is not needed. Rank deficiency makes the
-    projection non-unique and raises ProjectionUndefinedError.
+    projection non-unique and raises ProjectionUndefinedError, naming the
+    singular values of the first rank-deficient member.
     """
-    m = _require_square_finite(m)
+    m = _require_square_finite(m, stack=True)
     u, s, vt = np.linalg.svd(m)
-    if s[0] == 0.0 or s[-1] < RANK_TOL * s[0]:
-        raise ProjectionUndefinedError(
-            f"matrix is rank-deficient (singular values {s}); projection undefined"
-        )
+    deficient = (s[..., 0] == 0.0) | (s[..., -1] < RANK_TOL * s[..., 0])
+    if deficient.any():
+        raise ProjectionUndefinedError(f"matrix is rank-deficient (singular values "
+                                       f"{s[deficient][0]}); projection undefined")
     return u @ vt

@@ -6,10 +6,10 @@ pads vectors to the next power of two and checks their norms. Every gate is
 a full-register matrix applied as one product, and the qubits listed with
 it name only those its depolarizing noise acts on. States and gates
 (B, 2^q, 2^q) may be stacks that broadcast: the rows of U and V run as one
-circuit, so does each interferometer family, and so do the dilation
-circuits of several grid points. Each gate is checked for unitarity once,
-where it is built (`checked_gate`); the constant gates are checked inside
-their cached builders, which return them read-only.
+circuit, so do both interferometer families of the phases, and so do the
+dilation circuits of several grid points. Each gate is checked for
+unitarity once, where it is built (`checked_gate`); the constant gates are
+checked inside their cached builders, which return them read-only.
 
 `qsvd_step`, the one step of the factor flow, and its circuits take an
 optional `ShotPlan`: the shots per circuit and the `NoiseSpec` (per-gate
@@ -28,13 +28,14 @@ system alone, so a noisy dilation evolves a density matrix through
 distribution to running every shot as its own noisy execution.
 
 Determinism: the only randomness is the multinomial draw of each measured
-circuit's shots. Step i of a measured run draws its rows and phases from
-one stream, `derive_rng(master_seed, i)`, in a fixed order: the row stack
-(rows 0..n-1 of U, then of V), then the phase stack (j = 1..n-1, cos before
-sin). Grid point k's dilation circuit draws from its own stream,
-`derive_rng(master_seed, k, 3)`, so its counts do not depend on the grid
-points stacked with it. Runs with identical configurations are therefore
-bit-identical.
+circuit's shots. Step i of a measured run builds all its circuits
+(`propagate_row`, `evolve_sigma_phase`), then draws its rows (rows 0..n-1 of
+U, then of V), then its phases (j = 1..n-1, cos before sin), as one stack in
+one call from one stream, `derive_rng(master_seed, i)`, and reads them
+(`read_rows`, `read_phases`). Grid point k's dilation circuit draws from its
+own stream, `derive_rng(master_seed, k, 3)`, so its counts do not depend on
+the grid points stacked with it. Runs with identical configurations are
+therefore bit-identical.
 """
 
 from __future__ import annotations
@@ -69,20 +70,17 @@ CONTRAST_FLOOR = 0.5  # least cos^2 + sin^2 a measured phase estimate accepts
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 seeded by numpy's SeedSequence([master_seed, *path]). numpy pads
-    entropy shorter than four words with zeros, so derive_rng(s, i) is the
-    same stream as derive_rng(s, i, 0) and derive_rng(s, i, 0, 0).
-
-    numpy also splits a seed of 2^32 or more into 32-bit words, so streams
-    alias across master seeds: for s < 2^32, step i of seed s,
-    derive_rng(s, i), is the same stream as step 0 of seed s + i * 2^32,
-    derive_rng(s + i * 2**32, 0). The stream is kept, so that every recorded
-    trajectory keeps its bytes."""
+    entropy shorter than four words with zeros (derive_rng(s, i) is the
+    stream of derive_rng(s, i, 0)) and splits a seed >= 2^32 into 32-bit
+    words, so streams alias across master seeds: for s < 2^32, step i of seed
+    s, derive_rng(s, i), is step 0 of seed s + i * 2^32, derive_rng(s + i *
+    2**32, 0). The stream is kept, so that every recorded trajectory keeps
+    its bytes."""
     return np.random.default_rng([int(master_seed), *map(int, path)])
 
 
 def embed_unitary(u: np.ndarray, dim: int) -> np.ndarray:
-    """Pad a unitary (or each of a stack) acting on the first n basis states
-    with identity."""
+    """Pad a unitary (or each of a stack) on the first n basis states with identity."""
     n = u.shape[-1]
     if n == dim:
         return u
@@ -188,6 +186,19 @@ def _depolarize(rho: np.ndarray, qubits: Sequence[int], n_qubits: int,
     return (1.0 - p) * rho + p * np.moveaxis(mixed, last, axes_q).reshape(rho.shape)
 
 
+def _depolarized(probs: np.ndarray, noise: NoiseSpec | None, n_gates) -> np.ndarray:
+    """|psi|^2 (..., d) after n_gates noisy whole-register gates, as f |psi|^2
+    + (1 - f)/d, f = (1 - p)^g: g is n_gates, or per entry of a tuple along
+    the next-to-last axis of probs."""
+    if noise is None or not noise.any_gate_noise:
+        return probs
+    dim = probs.shape[-1]
+    p = noise.p1 if dim == 2 else noise.p2
+    f = np.reshape([(1.0 - p) ** g for g in np.ravel(n_gates).tolist()],
+                   (*np.shape(n_gates), 1))
+    return f * probs + (1.0 - f) / dim
+
+
 def circuit_probs(state: np.ndarray, gates: Sequence[tuple], noise: NoiseSpec | None
                   ) -> np.ndarray:
     """Measurement probabilities (..., 2^q) after a gate list [(u, qubits),
@@ -202,13 +213,9 @@ def circuit_probs(state: np.ndarray, gates: Sequence[tuple], noise: NoiseSpec | 
         if np.shape(u)[-2:] != (dim, dim):
             raise InvalidInputError(
                 f"gate shape {np.shape(u)} does not match a {n}-qubit register")
-    gate_noise = noise is not None and noise.any_gate_noise
-    if not gate_noise or all(qubits is None for _, qubits in gates):
-        probs = np.abs(_evolve(state, gates)) ** 2
-        if not gate_noise:
-            return probs
-        f = (1.0 - (noise.p1 if n == 1 else noise.p2)) ** len(gates)
-        return f * probs + (1.0 - f) / dim
+    if (noise is None or not noise.any_gate_noise
+            or all(qubits is None for _, qubits in gates)):
+        return _depolarized(np.abs(_evolve(state, gates)) ** 2, noise, len(gates))
     rho = state[..., :, None] * state[..., None, :].conj()
     for u, qubits in gates:
         qubits = range(n) if qubits is None else qubits
@@ -216,8 +223,7 @@ def circuit_probs(state: np.ndarray, gates: Sequence[tuple], noise: NoiseSpec | 
         p = noise.p1 if len(qubits) == 1 else noise.p2
         if p > 0.0:
             rho = _depolarize(rho, qubits, n, p)
-    probs = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-    return np.clip(probs, 0.0, None)
+    return np.clip(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), 0.0, None)
 
 
 @functools.lru_cache(maxsize=64)
@@ -241,6 +247,7 @@ def sample_probs(probs: np.ndarray, plan: ShotPlan,
     The whole stack is normalized and mixed in one pass and drawn from `rng`
     in one call, member by member in flattened order: the counts are those
     of drawing each member alone, in that order, from the same generator.
+    A measured step draws its rows, then its phases so, as one (4n - 2, d) stack.
     """
     probs = probs / probs.sum(axis=-1, keepdims=True)
     if plan.noise.p_ro > 0.0:
@@ -250,46 +257,38 @@ def sample_probs(probs: np.ndarray, plan: ShotPlan,
     return rng.multinomial(plan.n_shots, probs)
 
 
-def _sign_or(values: np.ndarray) -> np.ndarray:
-    s = np.sign(values)
-    s[s == 0.0] = 1.0
-    return s
-
-
 def default_sign_floor(n_shots: int) -> float:
     return 10.0 / np.sqrt(n_shots)
 
 
-def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, plan: ShotPlan,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Advance the rows (..., m, n) of orthogonal factors under their
-    transposed Cayley maps (..., n, n): one factor, or a stack of them.
-
-    The rows of every factor are encoded as one stack of states, run as one
-    circuit under the plan's noise, drawn from `rng` as one stack in
-    flattened order (the rows of the first factor, then of the next) and
-    rebuilt as sign * sqrt(p_hat).
-    Each entry keeps its own sign unless its measured magnitude falls below
-    the sign floor; it then takes the sign of the noise-free classical
-    prediction.
-    """
+def propagate_row(rows: np.ndarray, cay_zt: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """Probabilities (..., m, d) of the rows (..., m, n) of orthogonal factors
+    (one, or a stack) advanced under their transposed Cayley maps (..., n,
+    n): all rows run as one circuit; `read_rows` rebuilds them."""
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[-1]
     if cay_zt.shape != (*rows.shape[:-2], n, n):
         raise InvalidInputError("row/matrix dimension mismatch")
-    gate = cay_zt[..., None, :, :]  # one gate per factor, broadcast over its rows
-    predicted = np.matvec(gate, rows)
     states = encode(rows)
-    gate = embed_unitary(checked_gate(gate), states.shape[-1])
-    probs = circuit_probs(states, [(gate, None)], plan.noise)
-    p = sample_probs(probs, plan, rng)[..., :n].astype(float)
+    gate = embed_unitary(checked_gate(cay_zt[..., None, :, :]), states.shape[-1])
+    return circuit_probs(states, [(gate, None)], noise)
+
+
+def read_rows(rows: np.ndarray, cay_zt: np.ndarray, counts: np.ndarray,
+              n_shots: int) -> np.ndarray:
+    """The rows of `propagate_row` rebuilt from its counts (..., m, d) as
+    sign * sqrt(p_hat). Each entry keeps its own sign unless its measured
+    magnitude falls below the sign floor; it then takes the sign of the
+    noise-free classical prediction."""
+    rows = np.asarray(rows, dtype=float)
+    p = counts[..., :rows.shape[-1]].astype(float)
     total = p.sum(axis=-1, keepdims=True)
     if (total == 0.0).any():
         raise RowReconstructionError("all sampled row magnitudes are zero")
     mags = np.sqrt(p / total)
-    signs = np.where(mags >= default_sign_floor(plan.n_shots), _sign_or(rows),
-                     _sign_or(predicted))
-    return signs * mags
+    predicted = np.matvec(cay_zt[..., None, :, :], rows)
+    signed = np.where(mags >= default_sign_floor(n_shots), rows, predicted)
+    return np.where(signed < 0.0, -1.0, 1.0) * mags  # a zero reads as +
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,40 +307,39 @@ def _interferometer_gates(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
-                       plan: ShotPlan, rng: np.random.Generator) -> np.ndarray:
-    """Advance the diagonal-unitary phases by a Cayley step of -i L, measured.
+                       noise: NoiseSpec) -> np.ndarray:
+    """Probabilities (n-1, 2, d) of the phase interferometers of a Cayley
+    step of -i L, j by j, cos before sin; `read_phases` reads them.
 
-    The state (1/sqrt(N)) sum_j e^{i phi_j} |j> is evolved under the diagonal
-    Cayley unitary, and each relative phase is measured from a pair of
-    two-level interferometers on {|0>, |j>} under the plan's noise: a
-    Hadamard-type mixing yields cos(phi_j), the same mixing preceded by an
-    S^dagger phase on |j> yields sin(phi_j), and phi_j = atan2(sin, cos).
-    Phase 0 is the reference and stays 0. Each family is one circuit on a
-    stack of n-1 gates, one per j. Both families are drawn from `rng` as one
-    (n-1, 2) stack, j by j, cos before sin; the guards follow that order.
+    The state (1/sqrt(N)) sum_j e^{i phi_j} |j> is evolved once under the
+    diagonal Cayley unitary to psi. Each relative phase is measured from two
+    interferometers on {|0>, |j>}: a Hadamard-type mixing of psi yields
+    cos(phi_j), of S^dagger psi sin(phi_j); one product mixes both.
     """
     phases = np.asarray(phases, dtype=float)
-    if np.any(np.abs(phases) >= np.pi):
+    if (np.abs(phases) >= np.pi).any():
         raise InvalidInputError("phases must lie inside (-pi, pi)")
     n = len(phases)
     factors = cayley_diag(lplus_mid, h)
-    if rng is None:
-        raise InvalidInputError("a ShotPlan needs an rng")
     base = encode(np.exp(1j * phases) / np.sqrt(n))
     evo = checked_gate(embed_unitary(np.diag(factors), base.shape[-1]))
     sdg, mix = _interferometer_gates(n, base.shape[-1])
-    probs = np.stack([
-        circuit_probs(base, [(evo, None), (mix, None)], plan.noise),
-        circuit_probs(base, [(evo, None), (sdg, None), (mix, None)], plan.noise),
-    ], axis=1)
-    counts = sample_probs(probs, plan, rng)
+    psi = _checked_state(np.matvec(evo, base))
+    states = np.empty((n - 1, 2, base.shape[-1]), complex)  # cos, then sin family
+    states[:, 0], states[:, 1] = psi, _checked_state(np.matvec(sdg, psi))
+    amps = _checked_state(np.matvec(mix[:, None], states))
+    return _depolarized(np.abs(amps) ** 2, noise, (2, 3))
+
+
+def read_phases(counts: np.ndarray) -> np.ndarray:
+    """The phases of `evolve_sigma_phase` from its counts (n-1, 2, d): phi_j =
+    atan2(sin, cos), checked j by j; phase 0, the reference, stays 0."""
     p = counts / counts.sum(axis=-1, keepdims=True)
-    k = np.arange(n - 1)
+    k = np.arange(len(p))
     p0, pj = p[..., 0], p[k, :, k + 1]  # (n-1, 2): phase j = k + 1, cos and sin
     denom = p0 + pj
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c, s = ((p0 - pj) / denom).T
-    contrast = c * c + s * s
+    c, s = np.divide(p0 - pj, denom, out=np.zeros_like(denom), where=denom > 0.0).T
+    contrast = c * c + s * s  # 0 where starved, which is checked first
     starved = (denom <= 0.0).any(axis=1)
     failed = np.flatnonzero(starved | (contrast < CONTRAST_FLOOR))
     if len(failed):
@@ -352,9 +350,7 @@ def evolve_sigma_phase(phases: np.ndarray, lplus_mid: np.ndarray, h: float,
         raise PhaseReconstructionError(
             f"interferometer contrast {contrast[k]:.3f} below "
             f"{CONTRAST_FLOOR} for phase {k + 1}; decoherence too strong")
-    new = np.zeros(n)
-    new[1:] = np.arctan2(s, c)
-    return new
+    return np.concatenate([[0.0], np.arctan2(s, c)])
 
 
 @dataclass(frozen=True)
@@ -490,25 +486,28 @@ def qsvd_step(state: SvdFactors, history: Sequence[GeneratorSnapshot], a,
     the snapshot at the pre-step factors); an error carries step_index.
 
     Without a plan `project` is ignored. With one, every row and phase is
-    measured under it, all drawn from one stream, derive_rng(master_seed,
-    step_index), and `project` maps U and V onto the nearest orthogonal
-    matrices. The new state stores the cosines of the new phases, so a phase
-    that crossed 0 reads back in [0, pi] (`SvdFactors.phases`) and does not
-    turn the next step's phase generator the wrong way.
+    measured under it, all drawn in one call from one stream,
+    derive_rng(master_seed, step_index), and `project` maps U and V onto the
+    nearest orthogonal matrices. The new state stores the cosines of the new
+    phases, so a phase that crossed 0 reads back in [0, pi]
+    (`SvdFactors.phases`) and does not turn the next step's phase generator
+    the wrong way.
     """
     try:
         if plan is None:
             return step_factors(state, history, a, h)
         snap = snapshot_from_arrays(state.u, state.tilde, a, state.t)
-        z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
-        cay_zt, cay_wt = cayley(z_mid, h).T, cayley(w_mid, h).T
-        rng = derive_rng(master_seed, step_index)
-        u_new, v_new = propagate_row(
-            np.stack([state.u, state.v]), np.stack([cay_zt, cay_wt]), plan, rng)
-        if project:
-            u_new = nearest_orthogonal(u_new)
-            v_new = nearest_orthogonal(v_new)
-        phases_new = evolve_sigma_phase(state.phases, l_mid, h, plan, rng)
+        zw_mid, l_mid, g11_mid = midpoint_generators(snap, history)
+        cay_t = cayley(zw_mid, h).mT  # the transposed maps of U and V
+        rows, n = np.stack([state.u, state.v]), state.dim
+        probs = np.concatenate([  # the (2, n, d) rows, then the (n-1, 2, d) phases
+            propagate_row(rows, cay_t, plan.noise).ravel(),
+            evolve_sigma_phase(state.phases, l_mid, h, plan.noise).ravel()])
+        counts = sample_probs(probs.reshape(4 * n - 2, -1), plan,
+                              derive_rng(master_seed, step_index))
+        new_rows = read_rows(rows, cay_t, counts[:2 * n].reshape(2, n, -1), plan.n_shots)
+        u_new, v_new = nearest_orthogonal(new_rows) if project else new_rows
+        phases_new = read_phases(counts[2 * n:].reshape(n - 1, 2, -1))
         sigma1_new = state.sigma1 * float(np.exp(h * g11_mid))
     except SvdFlowError as exc:
         if exc.step is None:

@@ -187,10 +187,11 @@ def run_qsvd(cfg: RunConfig, gen: Generator | None = None,
 
 
 def write_csv(path: str, columns, rows) -> None:
+    """The header, then every row as %.17g values (the bytes of f"{x:.17g}")."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -91,12 +91,14 @@ class SvdFactors:
 
 @dataclass(frozen=True)
 class GeneratorSnapshot:
-    """Derived matrices at one time: inputs to every factor update."""
+    """Derived matrices at one time: inputs to every factor update. `packed`
+    holds Z, W, L+ and G_11 flat, so that one `mpea` call extrapolates all."""
 
     g: np.ndarray
     z: np.ndarray
     w: np.ndarray
     lplus: np.ndarray
+    packed: np.ndarray
     t: float
 
 
@@ -134,7 +136,7 @@ def snapshot_from_arrays(u, tilde, a, t) -> GeneratorSnapshot:
     u = np.asarray(u, dtype=float)
     tilde = np.asarray(tilde, dtype=float)
     check_gaps(tilde, t)
-    if np.any(np.abs(tilde[1:]) > 1.0 - TOL_SAT):
+    if (np.abs(tilde[1:]) > 1.0 - TOL_SAT).any():
         raise SigmaSaturationError(
             f"rescaled singular value within {TOL_SAT:.1e} of 1 at t={t:g}; "
             "the phase generator is ill-conditioned"
@@ -146,44 +148,39 @@ def snapshot_from_arrays(u, tilde, a, t) -> GeneratorSnapshot:
             f"rescaled singular values of equal modulus at t={t:g}")
     g = u.T @ a(t) @ u
     np.fill_diagonal(den, 1.0)
-    z = (t2[None, :] * g + t2[:, None] * g.T) / den
-    w = (np.outer(tilde, tilde) * (g.T + g)) / den
-    np.fill_diagonal(z, 0.0)
-    np.fill_diagonal(w, 0.0)
-    # rounding can leave a tiny symmetric residue; remove it at the source
-    z = skew_part(z)
-    w = skew_part(w)
+    zw = np.stack([t2[None, :] * g + t2[:, None] * g.T,
+                   np.outer(tilde, tilde) * (g.T + g)]) / den
+    diag = np.arange(len(tilde))
+    zw[:, diag, diag] = 0.0
     lplus = tilde * (np.diag(g) - g[0, 0]) / np.sqrt(np.clip(1.0 - t2, 1e-300, None))
     lplus[0] = 0.0
-    return GeneratorSnapshot(g=g, z=z, w=w, lplus=lplus, t=float(t))
+    # rounding can leave a tiny symmetric residue; remove it at the source
+    zw = skew_part(zw)
+    return GeneratorSnapshot(g=g, z=zw[0], w=zw[1], lplus=lplus, t=float(t),
+                             packed=np.concatenate([zw.ravel(), lplus, g[:1, 0]]))
 
 
 def mpea(s_i, s_im1, s_im2):
     """Midpoint extrapolation from three consecutive uniform-step samples."""
-    s_i = np.asarray(s_i)
-    s_im1 = np.asarray(s_im1)
-    s_im2 = np.asarray(s_im2)
+    s_i, s_im1, s_im2 = np.asarray(s_i), np.asarray(s_im1), np.asarray(s_im2)
     if s_i.shape != s_im1.shape or s_i.shape != s_im2.shape:
-        raise InvalidInputError(
-            f"shape mismatch in extrapolation history: "
-            f"{s_i.shape}, {s_im1.shape}, {s_im2.shape}"
-        )
+        raise InvalidInputError(f"shape mismatch in extrapolation history: "
+                                f"{s_i.shape}, {s_im1.shape}, {s_im2.shape}")
     c0, c1, c2 = MPEA_WEIGHTS
     return c0 * s_i + c1 * s_im1 + c2 * s_im2
 
 
 def midpoint_generators(snap_i: GeneratorSnapshot,
                         history: Sequence[GeneratorSnapshot]):
-    """Extrapolated (z, w, lplus, g11) at t + h/2.
+    """Extrapolated (zw, lplus, g11) at t + h/2, zw the (2, n, n) stack of Z
+    and W, from one `mpea` call over the packed snapshots.
 
     history is ordered oldest first: (snapshot at t-2h, snapshot at t-h).
     """
     old, prev = history
-    z_mid = mpea(snap_i.z, prev.z, old.z)
-    w_mid = mpea(snap_i.w, prev.w, old.w)
-    l_mid = mpea(snap_i.lplus, prev.lplus, old.lplus)
-    g11_mid = float(mpea(snap_i.g[0, 0], prev.g[0, 0], old.g[0, 0]))
-    return z_mid, w_mid, l_mid, g11_mid
+    n2 = 2 * len(snap_i.g) ** 2
+    mid = mpea(snap_i.packed, prev.packed, old.packed)
+    return mid[:n2].reshape(2, *snap_i.g.shape), mid[n2:-1], float(mid[-1])
 
 
 def start_history(seeds: Sequence[SvdFactors], a: "Generator") -> tuple:
@@ -203,9 +200,9 @@ def step_factors(f: SvdFactors, history: Sequence[GeneratorSnapshot],
     (-pi, pi], and the new tz is its cosine, as a measured step stores it.
     """
     snap = snapshot_from_arrays(f.u, f.tilde, a, f.t)
-    z_mid, w_mid, l_mid, g11_mid = midpoint_generators(snap, history)
-    u_new = f.u @ cayley(z_mid, h)
-    v_new = f.v @ cayley(w_mid, h)
+    zw_mid, l_mid, g11_mid = midpoint_generators(snap, history)
+    cay_z, cay_w = cayley(zw_mid, h)
+    u_new, v_new = f.u @ cay_z, f.v @ cay_w
     phases = np.angle(np.exp(1j * (f.phases + np.angle(cayley_diag(l_mid, h)))))
     phases[0] = 0.0
     sigma1_new = f.sigma1 * float(np.exp(h * g11_mid))

@@ -12,6 +12,7 @@ from svdflow.config import RunConfig, build_generator
 from svdflow.matcore import skew_part
 from svdflow.models import synthetic_generator
 from svdflow.odeflow import Generator, seed_factors
+from svdflow.qsim import evolve_sigma_phase, propagate_row, read_phases, read_rows, sample_probs
 from svdflow.runner import compute_reference, oracle_propagators, run_qsvd
 
 settings.register_profile(
@@ -84,6 +85,18 @@ def counting(gen):
         return gen.matrix(t)
 
     return dataclasses.replace(gen, matrix=matrix), sizes
+
+
+def measured_rows(rows, cay_zt, plan, rng):
+    """The rows' circuits drawn from rng and read back: a row step on its own."""
+    probs = propagate_row(rows, cay_zt, plan.noise)
+    return read_rows(rows, cay_zt, sample_probs(probs, plan, rng), plan.n_shots)
+
+
+def measured_phases(phases, lplus, h, plan, rng):
+    """The phase interferometers drawn from rng and read: a phase step on its own."""
+    return read_phases(sample_probs(evolve_sigma_phase(phases, lplus, h, plan.noise),
+                                    plan, rng))
 
 
 def random_factors(rng, n):

@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from conftest import constant, random_factors
+from conftest import constant, measured_phases, random_factors
 from svdflow import matcore
 from svdflow.cli import main
 from svdflow.odeflow import seed_factors
-from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit, evolve_sigma_phase
+from svdflow.qsim import NoiseSpec, ShotPlan, derive_rng, dilation_circuit
 from svdflow.runner import oracle_propagators, run_qsvd
 from svdflow.svdeom import (
     SvdFactors,
@@ -108,7 +108,7 @@ def test_criterion_4_structure_invariants(demo_cfg, demo_gen, demo_seeds):
     for _ in range(demo_cfg.n_steps):
         old = history
         f, history = step_factors(f, history, demo_gen, h)
-        z_mid, w_mid, _, _ = midpoint_generators(history[1], old)
+        (z_mid, w_mid), _, _ = midpoint_generators(history[1], old)
         all_skew &= np.array_equal(z_mid, -z_mid.T)
         all_skew &= np.array_equal(w_mid, -w_mid.T)
         worst_ortho = max(worst_ortho,
@@ -207,7 +207,7 @@ def test_criterion_9_phase_reconstruction():
         rng = np.random.default_rng(500 + n)
         planted = rng.uniform(-3.0, 3.0, n)
         planted[0] = 0.0
-        out = evolve_sigma_phase(
+        out = measured_phases(
             planted, np.zeros(n), 1.0, ShotPlan(n_shots),
             derive_rng(900 + n))
         # delta-method standard error of atan2(s_hat, c_hat); the

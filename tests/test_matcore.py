@@ -170,3 +170,56 @@ class TestNearestOrthogonal:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             matcore.nearest_orthogonal(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestStacks:
+    """cayley and nearest_orthogonal on a (2, n, n) stack, as a measured step
+    calls them on U's and V's matrices: bytes and errors of per-member calls."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_stack_matches_member_calls(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(20):
+            skews = matcore.skew_part(rng.standard_normal((2, n, n)))
+            cays = matcore.cayley(skews, 0.3)
+            near = np.linalg.qr(rng.standard_normal((2, n, n)))[0]
+            near = near + 1e-3 * rng.standard_normal((2, n, n))
+            projected = matcore.nearest_orthogonal(near)
+            for k in range(2):
+                assert np.array_equal(cays[k], matcore.cayley(skews[k], 0.3))
+                assert np.array_equal(projected[k], matcore.nearest_orthogonal(near[k]))
+
+    def test_rank_deficient_member_named(self):
+        # member 1 alone is rank-deficient: the error names its singular values
+        stack = np.array([np.eye(2), [[3.0, 0.0], [0.0, 0.0]]])
+        with pytest.raises(ProjectionUndefinedError) as alone:
+            matcore.nearest_orthogonal(stack[1])
+        with pytest.raises(ProjectionUndefinedError) as stacked:
+            matcore.nearest_orthogonal(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert "[3. 0.]" in str(stacked.value)
+        # both deficient: member 0's values, so U is reported before V
+        with pytest.raises(ProjectionUndefinedError, match=r"\[2\. 0\.\]"):
+            matcore.nearest_orthogonal(np.array([np.diag([2.0, 0.0]), stack[1]]))
+
+    @pytest.mark.parametrize("bad,error", [
+        (np.array([[2.0]]), StepFailureError),        # I - h/2 s == 0
+        (np.array([[np.nan]]), InvalidInputError),
+        (np.array([[np.inf]]), InvalidInputError),
+    ])
+    def test_bad_member_raises_the_member_error(self, bad, error):
+        with pytest.raises(error) as alone:
+            matcore.cayley(bad, 1.0)
+        with pytest.raises(error) as stacked:
+            matcore.cayley(np.array([np.zeros((1, 1)), bad]), 1.0)
+        assert str(stacked.value) == str(alone.value)
+        if error is InvalidInputError:
+            with pytest.raises(error) as alone:
+                matcore.nearest_orthogonal(bad)
+            with pytest.raises(error) as stacked:
+                matcore.nearest_orthogonal(np.array([np.eye(1), bad]))
+            assert str(stacked.value) == str(alone.value)
+
+    def test_svd_takes_one_matrix(self):
+        with pytest.raises(InvalidInputError, match="must be square"):
+            matcore.svd(np.zeros((2, 2, 2)))

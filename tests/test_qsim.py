@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import constant, random_factors
+from conftest import constant, measured_phases, measured_rows, random_factors
 from svdflow import matcore, qsim
 from svdflow.config import RunConfig, build_generator
 from svdflow.runner import run_qsvd
@@ -28,6 +28,7 @@ from svdflow.qsim import (
     evolve_sigma_phase,
     propagate_row,
     qsvd_step,
+    read_phases,
     readout_confusion,
     sample_probs,
 )
@@ -35,6 +36,7 @@ from svdflow.runner import initial_state
 from svdflow.svdeom import (
     SvdFactors,
     midpoint_generators,
+    mpea,
     reconstruct_phi,
     sigma_plus,
     snapshot_from_arrays,
@@ -155,7 +157,7 @@ class TestApplyUnitary:
                 checked_gate(gate)
         with pytest.raises(InvalidGateError, match="not unitary") as excinfo:
             propagate_row(np.stack([np.eye(2)] * 2), np.array([np.eye(2), nan_gate]),
-                          ShotPlan(100, noise or NoiseSpec()), derive_rng(0))
+                          noise or NoiseSpec())
         assert excinfo.value.step is None
 
     @pytest.mark.parametrize("noise", [None, NoiseSpec(p1=0.1, p2=0.1)])
@@ -196,7 +198,7 @@ class TestFixedGates:
         plan = ShotPlan(1000, NoiseSpec(p1=1e-3, p2=1e-2))
         for seed in range(3):
             evolve_sigma_phase(np.array([0.0, 0.4, 1.1]), np.array([0.0, 0.3, -0.2]),
-                               0.1, plan, derive_rng(seed))
+                               0.1, plan.noise)
             for p in (None, plan):
                 dilation_circuit(initial_state(3), f, p, derive_rng(seed, 3))
         for const in constants:
@@ -204,21 +206,21 @@ class TestFixedGates:
             assert sum(u is const for u in checked) == 1
 
     def test_built_gates_checked_once_per_call(self, checked):
-        # the phase step applies its evolution gate in both families and
-        # checks it once; the rows check their gate stack, the dilation its
-        # three own stacks
+        # the phase step evolves its state once for both families and checks
+        # its evolution gate once; the rows check their gate stack, the
+        # dilation its three own stacks
         rng = np.random.default_rng(13)
         plan = ShotPlan(1000, NoiseSpec(p1=1e-3, p2=1e-2))
         phase_args = (np.array([0.0, 0.4, 1.1]), np.array([0.0, 0.3, -0.2]), 0.1, plan)
-        evolve_sigma_phase(*phase_args, derive_rng(0))
+        measured_phases(*phase_args, derive_rng(0))
         dilation_circuit(initial_state(3), random_factors(rng, 3))
         del checked[:]
-        evolve_sigma_phase(*phase_args, derive_rng(1))
+        measured_phases(*phase_args, derive_rng(1))
         assert len(checked) == 1
         rows = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0]] * 2)
         gates = np.stack([matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))),
                                          0.2).T for _ in range(2)])
-        propagate_row(rows, gates, plan, derive_rng(2))
+        measured_rows(rows, gates, plan, derive_rng(2))
         assert len(checked) == 2 and checked[-1].shape == (2, 1, 3, 3)
         for p in (None, plan):
             dilation_circuit(initial_state(3), random_factors(rng, 3), p, derive_rng(3))
@@ -437,7 +439,7 @@ class TestPropagateRow:
     def test_identity_map_exact_limit(self):
         row = np.array([0.8, -0.6])
         plan = ShotPlan(10**6)
-        out = propagate_row(row[None], np.eye(2), plan,
+        out = measured_rows(row[None], np.eye(2), plan,
                             derive_rng(1, 0))[0]
         assert np.array_equal(np.sign(out), np.sign(row))
         assert np.abs(out - row).max() <= 5e-3
@@ -447,7 +449,7 @@ class TestPropagateRow:
         rot_t = np.array([[np.cos(th), -np.sin(th)],
                           [np.sin(th), np.cos(th)]]).T
         plan = ShotPlan(10**6)
-        out = propagate_row(np.array([[1.0, 0.0]]), rot_t.T, plan,
+        out = measured_rows(np.array([[1.0, 0.0]]), rot_t.T, plan,
                             derive_rng(3, 0))[0]
         assert np.abs(out - [np.cos(th), np.sin(th)]).max() <= 5e-3
         assert np.array_equal(np.sign(out), [1.0, 1.0])
@@ -460,7 +462,7 @@ class TestPropagateRow:
         th = np.pi / 2 + 0.05
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         plan = ShotPlan(10**4)
-        out = propagate_row(np.array([[1.0, 0.0]]), rot, plan,
+        out = measured_rows(np.array([[1.0, 0.0]]), rot, plan,
                             derive_rng(4, 0))[0]
         predicted = rot @ np.array([1.0, 0.0])
         assert np.sign(out[0]) == np.sign(predicted[0]) or predicted[0] == 0.0
@@ -475,10 +477,10 @@ class TestPropagateRow:
         rows = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         gate = matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2).T
         plan = ShotPlan(10**4, noise)
-        stacked = propagate_row(rows, gate, plan, derive_rng(5))
+        stacked = measured_rows(rows, gate, plan, derive_rng(5))
         one_by_one = derive_rng(5)
         for i in range(3):
-            single = propagate_row(rows[i:i + 1], gate, plan, one_by_one)
+            single = measured_rows(rows[i:i + 1], gate, plan, one_by_one)
             assert np.array_equal(stacked[i], single[0])
 
 
@@ -496,11 +498,11 @@ class TestStackedKernels:
         cays = [matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2)
                 for _ in range(2)]
         plan = ShotPlan(10**4, noise)
-        stacked = propagate_row(rows, np.stack([c.T for c in cays]), plan,
+        stacked = measured_rows(rows, np.stack([c.T for c in cays]), plan,
                                 derive_rng(8))
         one_by_one = derive_rng(8)
         for k in range(2):
-            single = propagate_row(rows[k], cays[k].T, plan, one_by_one)
+            single = measured_rows(rows[k], cays[k].T, plan, one_by_one)
             assert np.array_equal(stacked[k], single)
 
     @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (2, 4, 4), (3, 3, 3)])
@@ -508,7 +510,7 @@ class TestStackedKernels:
         rows = np.stack([np.eye(3)] * 2)
         gates = np.broadcast_to(np.eye(shape[-1]), shape)
         with pytest.raises(InvalidInputError, match="dimension mismatch"):
-            propagate_row(rows, gates, ShotPlan(100), derive_rng(0))
+            propagate_row(rows, gates, NoiseSpec())
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_stacked_reconstruct_phi_matches_per_point_calls(self, n):
@@ -527,7 +529,7 @@ class TestEvolveSigmaPhase:
     def test_planted_phase_recovery(self):
         phi = np.pi / 3.0
         plan = ShotPlan(10**6)
-        out = evolve_sigma_phase(
+        out = measured_phases(
             np.array([0.0, phi]), np.zeros(2), 1.0, plan,
             derive_rng(6))
         se = np.sqrt(1.0 / (2 * 10**6 / 2))  # conservative subspace SE
@@ -536,7 +538,7 @@ class TestEvolveSigmaPhase:
     def test_zero_generator_sampled_near_identity(self):
         phases = np.array([0.0, 0.4, -0.9, 1.3])
         plan = ShotPlan(10**6)
-        out = evolve_sigma_phase(
+        out = measured_phases(
             phases, np.zeros(4), 1.0, plan,
             derive_rng(9))
         assert np.abs(out - phases).max() <= 0.01
@@ -549,7 +551,7 @@ class TestEvolveSigmaPhase:
         # same seed; n = 3 pads to 4 amplitudes
         phases, lplus, h = np.array([0.0, 0.4, -0.9]), np.array([0.0, 0.3, -0.2]), 0.5
         plan = ShotPlan(10**4, noise)
-        out = evolve_sigma_phase(phases, lplus, h, plan, derive_rng(6, 1))
+        out = measured_phases(phases, lplus, h, plan, derive_rng(6, 1))
         base = encode(np.exp(1j * phases) / np.sqrt(3))
         evo = embed_unitary(np.diag(matcore.cayley_diag(lplus, h)), 4)
         sdg, mix = qsim._interferometer_gates(3, 4)
@@ -580,14 +582,9 @@ class TestEvolveSigmaPhase:
         with pytest.raises(ValueError):
             mix[0, 0, 0] = 1.0
 
-    def test_plan_needs_rng_factory(self):
-        with pytest.raises(InvalidInputError, match="needs an rng"):
-            evolve_sigma_phase(np.array([0.0, 0.5]), np.zeros(2), 0.1, ShotPlan(100), None)
-
     def test_rejects_phases_outside_range(self):
         with pytest.raises(InvalidInputError, match="phases"):
-            evolve_sigma_phase(np.array([0.0, 3.5]), np.zeros(2), 0.1, ShotPlan(100),
-                               derive_rng(0))
+            evolve_sigma_phase(np.array([0.0, 3.5]), np.zeros(2), 0.1, NoiseSpec())
 
 
 class TestDilation:
@@ -760,7 +757,7 @@ class TestQsvdStep:
         crossed = False
         for i in range(12):
             new, new_history = qsvd_step(state, history, gen, h, step_index=i)
-            c = matcore.cayley_diag(midpoint_generators(new_history[1], history)[2], h)
+            c = matcore.cayley_diag(midpoint_generators(new_history[1], history)[1], h)
             crossed |= bool((state.phases + np.angle(c))[1:].min() < 0.0)
             closed_form = np.real(sigma_plus(state.tilde) * c)
             assert np.abs(new.tilde[1:] - closed_form[1:]).max() <= 1e-10, f"step {i}"
@@ -808,13 +805,13 @@ class TestQsvdStep:
         for step in range(62, 66):
             new, new_history = qsvd_step(state, history, gen, h, plan, master_seed=seed,
                                          step_index=step, project=True)
-            z_mid, w_mid, l_mid, _ = midpoint_generators(new_history[1], history)
+            (z_mid, w_mid), l_mid, _ = midpoint_generators(new_history[1], history)
             rng = derive_rng(seed, step)
-            u, v = propagate_row(
+            u, v = measured_rows(
                 np.stack([state.u, state.v]),
                 np.stack([matcore.cayley(z_mid, h).T, matcore.cayley(w_mid, h).T]),
                 plan, rng)
-            phases = evolve_sigma_phase(state.phases, l_mid, h, plan, rng)
+            phases = measured_phases(state.phases, l_mid, h, plan, rng)
             assert np.array_equal(new.u, matcore.nearest_orthogonal(u))
             assert np.array_equal(new.v, matcore.nearest_orthogonal(v))
             assert np.array_equal(new.tilde, np.cos(phases))
@@ -822,9 +819,10 @@ class TestQsvdStep:
 
     def test_measured_step_names_its_step(self, demo_cfg, demo_gen, demo_seeds,
                                           monkeypatch):
-        # a Cayley map that is not unitary stops the row gate check of step 17
+        # a Cayley map that is not unitary stops the row gate check of step 17;
+        # the step maps the (2, 2, 2) stack of Z and W in one call
         f, history = demo_seeds[2], start_history(demo_seeds, demo_gen)
-        monkeypatch.setattr(qsim, "cayley", lambda m, h: np.diag([1.0, 1.1]))
+        monkeypatch.setattr(qsim, "cayley", lambda m, h: np.stack([np.diag([1.0, 1.1])] * 2))
         with pytest.raises(InvalidGateError, match="not unitary") as excinfo:
             qsvd_step(f, history, demo_gen, demo_cfg.step_size, ShotPlan(100),
                       step_index=17)
@@ -860,6 +858,91 @@ class TestQsvdStep:
         b, _ = qsvd_step(f, history, demo_gen, h, **kw)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.phases, b.phases)
+
+
+def sequential_step(state, history, gen, h, plan, seed, step, project):
+    """A measured step as a sequence of one-matrix calls, the specification
+    the one-pass `qsvd_step` is held to: four mpea calls, a Cayley map and a
+    projection per factor, the rows drawn from derive_rng(seed, step), then
+    the phases from the same stream, each interferometer family evolved
+    from the start as its own circuit, and signs read as np.sign with 0 as +."""
+    snap = snapshot_from_arrays(state.u, state.tilde, gen, state.t)
+    old, prev = history
+    z, w, lplus = (mpea(getattr(snap, k), getattr(prev, k), getattr(old, k))
+                   for k in ("z", "w", "lplus"))
+    g11 = float(mpea(snap.g[0, 0], prev.g[0, 0], old.g[0, 0]))
+    rng = derive_rng(seed, step)
+    rows = np.stack([state.u, state.v])
+    gates = np.stack([matcore.cayley(z, h).T, matcore.cayley(w, h).T])[:, None]
+    states = encode(rows)
+    dim = states.shape[-1]
+    probs = qsim.circuit_probs(states, [(embed_unitary(gates.astype(complex), dim), None)],
+                               plan.noise)
+    p = sample_probs(probs, plan, rng)[..., :state.dim].astype(float)
+    mags = np.sqrt(p / p.sum(axis=-1, keepdims=True))
+
+    def sign_or_plus(x):
+        return np.where(np.sign(x) == 0.0, 1.0, np.sign(x))
+
+    signs = np.where(mags >= default_sign_floor(plan.n_shots), sign_or_plus(rows),
+                     sign_or_plus(np.matvec(gates, rows)))
+    u, v = signs * mags
+    if project:
+        u, v = matcore.nearest_orthogonal(u), matcore.nearest_orthogonal(v)
+    n = state.dim
+    base = encode(np.exp(1j * state.phases) / np.sqrt(n))
+    evo = embed_unitary(np.diag(matcore.cayley_diag(lplus, h)), dim)
+    sdg, mix = qsim._interferometer_gates(n, dim)
+    families = [qsim.circuit_probs(base, [(evo, None), *pre, (mix, None)], plan.noise)
+                for pre in ([], [(sdg, None)])]
+    phases = read_phases(sample_probs(np.stack(families, axis=1), plan, rng))
+    return (SvdFactors(u=u, v=v, tilde=np.cos(phases), sigma1=state.sigma1 * float(
+        np.exp(h * g11)), t=state.t + h), (history[1], snap))
+
+
+class TestOnePassStep:
+    """The measured step builds every circuit, then draws once: the same
+    bytes as its sequential specification, from one sample_probs call."""
+
+    @staticmethod
+    def start(n):
+        cfg = RunConfig(model_name="synthetic",
+                        model_params={"n": n, "seed": 3, "smoothness": 0.1},
+                        t_seed=1.0, t_f=1.2, n_steps=40, seed_substeps=2000).validate()
+        gen = build_generator(cfg)
+        seeds = seed_factors(gen, cfg.t_seed, cfg.step_size, nsub=cfg.seed_substeps)
+        return gen, cfg.step_size, seeds[2], start_history(seeds, gen)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("plan,project", [
+        (ShotPlan(10**5), True), (ShotPlan(10**5, NoiseSpec(1e-3, 1e-2, 1e-2)), False)],
+        ids=["sampled-project", "noisy"])
+    def test_forty_steps_match_the_sequential_specification(self, n, plan, project):
+        gen, h, state, history = self.start(n)
+        want, want_history = state, history
+        for step in range(40):
+            state, history = qsvd_step(state, history, gen, h, plan, master_seed=4242,
+                                       step_index=step, project=project)
+            want, want_history = sequential_step(want, want_history, gen, h, plan, 4242,
+                                                 step, project)
+            for name in ("u", "v", "tilde", "sigma1", "t"):
+                assert np.array_equal(getattr(state, name), getattr(want, name)), (step, name)
+            assert np.array_equal(history[1].packed, want_history[1].packed)
+
+    def test_one_draw_per_measured_step(self, monkeypatch):
+        gen, h, state, history = self.start(3)
+        plan, calls = ShotPlan(10**4), []
+        draw = qsim.sample_probs
+
+        def spy(probs, plan, rng):
+            calls.append(probs.shape)
+            return draw(probs, plan, rng)
+
+        monkeypatch.setattr(qsim, "sample_probs", spy)
+        for step in range(5):
+            state, history = qsvd_step(state, history, gen, h, plan, step_index=step)
+            # the 2n rows of U and V, then the 2(n - 1) phase circuits
+            assert calls == [(10, 4)] * (step + 1)
 
 
 def test_default_sign_floor():

@@ -239,3 +239,14 @@ def test_earliest_error_wins(small_cfg, monkeypatch, fail_at, shots, want):
     assert (type(excinfo.value), excinfo.value.step) == want
     if want[0] is PostSelectionStarvedError:
         assert excinfo.value.__context__.step == fail_at
+
+
+def test_write_csv_keeps_the_bytes_of_per_value_formatting(tmp_path):
+    values = [-0.0, 0.0, 5e-324, 1e-310, 1.7976931348623157e308, 0.1, 1.0, 3.0,
+              -2.0, 1e22, 2.0**53 + 2, 1 / 3, -7.25e-5]
+    rows = np.array(values).reshape(-1, 1) * np.ones(3)
+    rows[:, 1] = values[::-1]
+    path = tmp_path / "out.csv"
+    runner.write_csv(str(path), ("a", "b", "c"), rows)
+    want = "a,b,c\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()

@@ -203,7 +203,11 @@ class TestMidpointGenerators:
             f = random_factors(rng, 3)
             snaps.append(snapshot_from_arrays(
                 f.u, f.tilde, constant(rng.standard_normal((3, 3))), t))
-        z, w, l, g11 = midpoint_generators(snaps[2], snaps[:2])
+        (z, w), l, g11 = midpoint_generators(snaps[2], snaps[:2])
         assert np.abs(z - mpea(snaps[2].z, snaps[1].z, snaps[0].z)).max() == 0.0
+        # one packed mpea call gives the bytes of one call per generator
+        assert np.array_equal(w, mpea(snaps[2].w, snaps[1].w, snaps[0].w))
+        assert np.array_equal(l, mpea(snaps[2].lplus, snaps[1].lplus, snaps[0].lplus))
+        assert g11 == float(mpea(snaps[2].g[0, 0], snaps[1].g[0, 0], snaps[0].g[0, 0]))
         assert np.isclose(g11, mpea(snaps[2].g[0, 0], snaps[1].g[0, 0],
                                     snaps[0].g[0, 0]))
