@@ -1,8 +1,8 @@
-"""Dense matrix helpers: SVD with a fixed sign convention, Cayley transform,
-skew-symmetrization and nearest-orthogonal projection.
+"""Dense matrix helpers: SVD with a fixed sign convention, Cayley transform
+and nearest-orthogonal projection.
 
-All functions are pure and operate on plain numpy arrays; `cayley`,
-`skew_part` and `nearest_orthogonal` also on stacks (..., n, n), member by member.
+All functions are pure and operate on plain numpy arrays; `cayley` and
+`nearest_orthogonal` also on stacks (..., n, n), member by member.
 """
 
 from __future__ import annotations
@@ -82,15 +82,6 @@ def cayley_diag(lam: np.ndarray, h: float) -> np.ndarray:
         raise InvalidInputError("diagonal generator contains non-finite entries")
     half = 0.5j * h * lam
     return (1.0 - half) / (1.0 + half)
-
-
-def skew_part(m: np.ndarray) -> np.ndarray:
-    """(m - m.T) / 2 over the last two axes; exactly skew-symmetric by
-    construction. A stack of matrices is handled matrix by matrix."""
-    m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise InvalidInputError(f"matrix must be square, got shape {m.shape}")
-    return (m - np.swapaxes(m, -1, -2)) / 2.0
 
 
 def nearest_orthogonal(m: np.ndarray) -> np.ndarray:

@@ -384,20 +384,20 @@ def _block_diagonal(mats: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
-                   plan: ShotPlan | None = None,
+def dilation_stack(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None,
                    rngs: Sequence[np.random.Generator] | None = None,
                    steps: Sequence[int] | None = None) -> DilationResult:
     """One-ancilla dilation circuits applying the nonunitary propagators of a
-    stack of factor states to v0, run as one circuit on stacks of gates.
+    stack of factor states f (each field with a leading member axis, as
+    `_tabulate` builds it) to v0, run as one circuit on stacks of gates.
 
     Circuit: H(ancilla) -> V^T (system) -> block-diagonal Sp (+) conj(Sp)
     selected by the ancilla -> U (system) -> H(ancilla) -> measure.
     Conditioned on ancilla 0 the system state is Phi v0 / sigma1 up to
     normalization; the acceptance rate ||Phi v0||^2 / sigma1^2 recovers the
-    norm. Read exactly without a plan, else sampled under it, member i
-    drawing from its own generator rngs[i]. The result carries the stack
-    axis (K, ...).
+    norm. The ancilla-0 weights are |amp|^2 without a plan, else the counts
+    of shots under it, member i drawing from its own generator rngs[i]; one
+    post-selection reads both. The result carries the stack axis (K, ...).
 
     `steps`, when given, names the grid point of each member, and an error
     carries the step of the member it belongs to: the first member with no
@@ -413,6 +413,8 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
         raise InvalidInputError("initial vector must have unit norm", step_of(0))
     if plan is not None and rngs is None:
         raise InvalidInputError("a ShotPlan needs an rng", step_of(0))
+    if plan is not None and len(rngs) != len(f.tilde):
+        raise InvalidInputError("a ShotPlan needs one rng per member", step_of(0))
     n = len(v0)
     dim = encode(v0).shape[-1]
     n_sys = anc = dim.bit_length() - 1  # the ancilla is the most significant qubit
@@ -420,22 +422,24 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
     had = _ancilla_hadamard(dim)
     sys_qubits = list(range(n_sys))
 
-    sp = np.ones((len(factors), dim), dtype=complex)
-    sp[:, :n] = sigma_plus(np.array([f.tilde for f in factors]))
-    u_sigma = np.zeros((len(factors), 2 * dim, 2 * dim), dtype=complex)
+    sp = np.ones((len(f.tilde), dim), dtype=complex)
+    sp[:, :n] = sigma_plus(f.tilde)
+    u_sigma = np.zeros((len(sp), 2 * dim, 2 * dim), dtype=complex)
     diag = np.arange(2 * dim)
     u_sigma[:, diag, diag] = np.concatenate([sp, np.conj(sp)], axis=-1)
-    own = [_block_diagonal(np.array([f.v.T for f in factors]), dim), u_sigma,
-           _block_diagonal(np.array([f.u for f in factors]), dim)]
+    own = [_block_diagonal(f.v.mT, dim), u_sigma, _block_diagonal(f.u, dim)]
 
     try:
         gates = [(had, [anc]), (checked_gate(own[0]), sys_qubits),
                  (checked_gate(own[1]), list(range(n_sys + 1))),
                  (checked_gate(own[2]), sys_qubits), (had, [anc])]
         if plan is None:
-            state = _evolve(state, gates)
+            block = _evolve(state, gates)[:, :dim]
+            weights = np.abs(block) ** 2
         else:
-            full_probs = circuit_probs(state, gates, plan.noise)
+            counts = np.array([sample_probs(p, plan, rng) for p, rng in zip(
+                circuit_probs(state, gates, plan.noise), rngs)])
+            weights = counts[:, :dim].astype(float)
     except InvalidGateError as exc:
         defect = [np.linalg.norm(_unitarity_defect(g), axis=(-2, -1)) for g in own]
         failing = np.flatnonzero(~np.all(np.array(defect) <= UNITARY_TOL, axis=0))
@@ -445,25 +449,16 @@ def dilation_stack(v0: np.ndarray, factors: Sequence[SvdFactors],
         exc.step = step_of(0)
         raise
 
-    if plan is None:
-        block = state[:, :dim]
-        acceptance = np.sum(np.abs(block) ** 2, axis=-1)
-        starved = np.flatnonzero(acceptance == 0.0)
-        if len(starved):
-            raise PostSelectionStarvedError("post-selected branch has zero weight",
-                                            step_of(starved[0]))
-        probs = np.abs(block[:, :n]) ** 2 / acceptance[:, None]
-        return DilationResult(probs=probs, acceptance_rate=acceptance,
-                              amplitudes=block[:, :n] / np.sqrt(acceptance)[:, None])
-    counts = np.array([sample_probs(p, plan, rng) for p, rng in zip(full_probs, rngs)])
-    accepted = counts[:, :dim].astype(float)
-    n_acc = accepted.sum(axis=-1)
-    starved = np.flatnonzero(n_acc == 0.0)
+    weight = np.sum(weights, axis=-1)
+    starved = np.flatnonzero(weight == 0.0)
     if len(starved):
-        raise PostSelectionStarvedError("no shots survived ancilla post-selection",
-                                        step_of(starved[0]))
-    return DilationResult(probs=accepted[:, :n] / n_acc[:, None],
-                          acceptance_rate=n_acc / plan.n_shots, record=counts)
+        raise PostSelectionStarvedError(
+            "post-selected branch has zero weight" if plan is None
+            else "no shots survived ancilla post-selection", step_of(starved[0]))
+    probs = weights[:, :n] / weight[:, None]
+    if plan is None:
+        return DilationResult(probs, weight, block[:, :n] / np.sqrt(weight)[:, None])
+    return DilationResult(probs, weight / plan.n_shots, record=counts)
 
 
 def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None,
@@ -471,7 +466,8 @@ def dilation_circuit(v0: np.ndarray, f: SvdFactors, plan: ShotPlan | None = None
     """The dilation circuit of one factor state: the stack of one of
     `dilation_stack`, drawing from `rng`, and the specification that stacked
     runs are tested against."""
-    out = dilation_stack(v0, [f], plan, None if rng is None else [rng])
+    one = SvdFactors(*(np.asarray(x)[None] for x in (f.u, f.v, f.tilde, f.sigma1, f.t)))
+    out = dilation_stack(v0, one, plan, None if rng is None else [rng])
     return DilationResult(
         probs=out.probs[0], acceptance_rate=float(out.acceptance_rate[0]),
         amplitudes=None if out.amplitudes is None else out.amplitudes[0],

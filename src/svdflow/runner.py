@@ -107,8 +107,8 @@ def _tabulate(cfg: RunConfig, plan: ShotPlan | None, ref_grid: np.ndarray,
     reads the acceptance rates off the block's dilation circuits, run as one
     stack (grid point k draws from derive_rng(rng_seed, k, 3) and a failure
     carries k), else off Phi v0; so the earliest starved dilation raises.
-    Acceptance and orthogonality are reduced per point as 1-d dots with a
-    float sigma1**2, as a point alone reduces them, to keep every byte."""
+    Phi v0's acceptance is a per-point dot over a float sigma1**2 (an array
+    power rounds differently); the U/V defects are one `np.vecdot` per block."""
     table = []
     for start in range(0, len(factors), GRID_BLOCK):
         block = factors[start:start + GRID_BLOCK]
@@ -118,13 +118,13 @@ def _tabulate(cfg: RunConfig, plan: ShotPlan | None, ref_grid: np.ndarray,
         v0 = initial_state(f.dim)
         p_q = reconstruct_phi(f) @ v0
         if cfg.dilation and plan is not None:
-            acc = dilation_stack(v0, block, plan, [derive_rng(cfg.rng_seed, k, 3)
-                                                   for k in steps], steps).acceptance_rate
+            acc = dilation_stack(v0, f, plan, [derive_rng(cfg.rng_seed, k, 3)
+                                               for k in steps], steps).acceptance_rate
         else:
             acc = [p @ p / x.sigma1**2 for p, x in zip(p_q, block)]
         uv = np.stack([f.u, f.v])
-        defects = (uv.mT @ uv - np.eye(f.dim)).reshape(2 * len(block), -1)
-        ortho = np.sqrt([d @ d for d in defects]).reshape(2, -1)
+        defects = (uv.mT @ uv - np.eye(f.dim)).reshape(2, len(block), -1)
+        ortho = np.sqrt(np.vecdot(defects, defects))
         sigma_err = np.max(np.abs(np.abs(sigma_plus(f.tilde)) - 1.0), axis=-1)
         table.append(np.column_stack([f.t, ref_grid[steps, :2],
                                       p_q[:, :2], f.sigma1, *ortho, sigma_err, acc]))

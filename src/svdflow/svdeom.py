@@ -8,7 +8,9 @@ factors evolve under generators built from G = U^T A U:
     L_jj = tz_j (G_jj - G_11) / sqrt(1 - tz_j^2)             (j >= 2, L_11 = 0)
 
 with tz = sigma / sigma_1 the rescaled singular values. Z and W are real
-skew-symmetric, so U and V stay orthogonal under Cayley updates; the unit
+skew-symmetric bit for bit as computed: entry (k, j) adds the same two
+products as (j, k), in the other order, over the exactly negated
+denominator. So U and V stay orthogonal under Cayley updates; the unit
 complex numbers sp_j = tz_j + i sqrt(1 - tz_j^2) evolve by per-entry Cayley
 factors of -i L, and sigma_1 obeys the scalar ODE sigma_1' = G_11 sigma_1.
 The divisions by gaps and by sqrt(1 - tz^2) are guarded by the module
@@ -38,7 +40,7 @@ from .errors import (
     InvalidInputError,
     SigmaSaturationError,
 )
-from .matcore import cayley, cayley_diag, skew_part
+from .matcore import cayley, cayley_diag
 
 if TYPE_CHECKING:  # pragma: no cover
     from .odeflow import Generator
@@ -154,8 +156,6 @@ def snapshot_from_arrays(u, tilde, a, t) -> GeneratorSnapshot:
     zw[:, diag, diag] = 0.0
     lplus = tilde * (np.diag(g) - g[0, 0]) / np.sqrt(np.clip(1.0 - t2, 1e-300, None))
     lplus[0] = 0.0
-    # rounding can leave a tiny symmetric residue; remove it at the source
-    zw = skew_part(zw)
     return GeneratorSnapshot(g=g, z=zw[0], w=zw[1], lplus=lplus, t=float(t),
                              packed=np.concatenate([zw.ravel(), lplus, g[:1, 0]]))
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from svdflow.config import RunConfig, build_generator
-from svdflow.matcore import skew_part
 from svdflow.models import synthetic_generator
 from svdflow.odeflow import Generator, seed_factors
 from svdflow.qsim import evolve_sigma_phase, propagate_row, read_phases, read_rows, sample_probs
@@ -72,7 +71,12 @@ def constant(m):
 def skew_generator(n, seed, smoothness=0.0):
     """Skew-projected synthetic generator; its exact flow is orthogonal."""
     base = synthetic_generator(n, seed, smoothness)
-    return Generator(dim=n, matrix=lambda t: skew_part(base(t)))
+
+    def matrix(t):
+        m = base(t)
+        return (m - m.mT) / 2.0
+
+    return Generator(dim=n, matrix=matrix)
 
 
 def counting(gen):
@@ -97,6 +101,15 @@ def measured_phases(phases, lplus, h, plan, rng):
     """The phase interferometers drawn from rng and read: a phase step on its own."""
     return read_phases(sample_probs(evolve_sigma_phase(phases, lplus, h, plan.noise),
                                     plan, rng))
+
+
+def stack_factors(factors):
+    """Factor states as one state whose fields carry a leading member axis,
+    as `runner._tabulate` stacks a block of grid points."""
+    from svdflow.svdeom import SvdFactors
+
+    return SvdFactors(*(np.array([getattr(f, field.name) for f in factors])
+                        for field in dataclasses.fields(SvdFactors)))
 
 
 def random_factors(rng, n):

@@ -72,7 +72,8 @@ class TestCayley:
 
     def test_matches_exponential_to_third_order(self):
         rng = np.random.default_rng(3)
-        s = matcore.skew_part(rng.standard_normal((4, 4)))
+        m = rng.standard_normal((4, 4))
+        s = (m - m.T) / 2.0
         gaps = [np.linalg.norm(matcore.cayley(s, h) - scipy.linalg.expm(h * s))
                 for h in (0.1, 0.05)]
         # the Cayley map agrees with the exponential to O(h^3), so halving h
@@ -93,7 +94,7 @@ class TestCayley:
 
     @given(square(4, -3, 3), st.floats(0.01, 1.0))
     def test_orthogonality_property(self, m, h):
-        q = matcore.cayley(matcore.skew_part(m), h)
+        q = matcore.cayley((m - m.T) / 2.0, h)
         assert np.linalg.norm(q.T @ q - np.eye(4)) <= 1e-11
 
 
@@ -117,25 +118,6 @@ class TestCayleyDiag:
            st.floats(0.01, 2.0))
     def test_unit_modulus_property(self, lam, h):
         assert np.abs(np.abs(matcore.cayley_diag(lam, h)) - 1.0).max() <= 1e-14
-
-
-class TestSkewPart:
-    def test_skew_fixed_point(self):
-        s = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        assert np.array_equal(matcore.skew_part(s), s)
-
-    def test_symmetric_kernel(self):
-        m = np.array([[1.0, 3.0], [3.0, 2.0]])
-        assert np.array_equal(matcore.skew_part(m), np.zeros((2, 2)))
-
-    def test_worked_example(self):
-        out = matcore.skew_part(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        assert np.array_equal(out, np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-    @given(square(5))
-    def test_exactly_skew_property(self, m):
-        s = matcore.skew_part(m)
-        assert np.array_equal(s, -s.T)
 
 
 class TestNearestOrthogonal:
@@ -180,7 +162,8 @@ class TestStacks:
     def test_stack_matches_member_calls(self, n):
         rng = np.random.default_rng(70 + n)
         for _ in range(20):
-            skews = matcore.skew_part(rng.standard_normal((2, n, n)))
+            m = rng.standard_normal((2, n, n))
+            skews = (m - m.mT) / 2.0
             cays = matcore.cayley(skews, 0.3)
             near = np.linalg.qr(rng.standard_normal((2, n, n)))[0]
             near = near + 1e-3 * rng.standard_normal((2, n, n))

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import constant, measured_phases, measured_rows, random_factors
+from conftest import constant, measured_phases, measured_rows, random_factors, stack_factors
 from svdflow import matcore, qsim
 from svdflow.config import RunConfig, build_generator
 from svdflow.runner import run_qsvd
@@ -218,8 +218,8 @@ class TestFixedGates:
         measured_phases(*phase_args, derive_rng(1))
         assert len(checked) == 1
         rows = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0]] * 2)
-        gates = np.stack([matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))),
-                                         0.2).T for _ in range(2)])
+        gates = np.stack([matcore.cayley((m - m.T) / 2.0, 0.2).T
+                          for m in rng.standard_normal((2, 3, 3))])
         measured_rows(rows, gates, plan, derive_rng(2))
         assert len(checked) == 2 and checked[-1].shape == (2, 1, 3, 3)
         for p in (None, plan):
@@ -287,7 +287,8 @@ class TestStackedCircuits:
         plan = ShotPlan(100, noise or NoiseSpec())
         for bad in (np.diag([1.0, 1.1]), np.full((2, 2), np.nan)):
             with pytest.raises(InvalidGateError, match="not unitary") as excinfo:
-                qsim.dilation_stack(initial_state(2), [f, dataclasses.replace(f, v=bad), f],
+                qsim.dilation_stack(initial_state(2),
+                                    stack_factors([f, dataclasses.replace(f, v=bad), f]),
                                     plan, [derive_rng(0, i) for i in range(3)], [5, 6, 7])
             assert excinfo.value.step == 6
 
@@ -475,7 +476,8 @@ class TestPropagateRow:
         # drawing in order from a generator with the same seed
         rng = np.random.default_rng(17)
         rows = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        gate = matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2).T
+        m = rng.standard_normal((3, 3))
+        gate = matcore.cayley((m - m.T) / 2.0, 0.2).T
         plan = ShotPlan(10**4, noise)
         stacked = measured_rows(rows, gate, plan, derive_rng(5))
         one_by_one = derive_rng(5)
@@ -495,8 +497,8 @@ class TestStackedKernels:
         # generator with the stack's seed
         rng = np.random.default_rng(23)
         rows = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)])
-        cays = [matcore.cayley(matcore.skew_part(rng.standard_normal((3, 3))), 0.2)
-                for _ in range(2)]
+        cays = [matcore.cayley((m - m.T) / 2.0, 0.2)
+                for m in rng.standard_normal((2, 3, 3))]
         plan = ShotPlan(10**4, noise)
         stacked = measured_rows(rows, np.stack([c.T for c in cays]), plan,
                                 derive_rng(8))
@@ -624,7 +626,7 @@ class TestDilation:
         rng = np.random.default_rng(15)
         factors = [random_factors(rng, 3) for _ in range(5)]
         v0 = initial_state(3)
-        out = qsim.dilation_stack(v0, factors, plan,
+        out = qsim.dilation_stack(v0, stack_factors(factors), plan,
                                   [derive_rng(2, i, 3) for i in range(5)])
         for i, f in enumerate(factors):
             one = dilation_circuit(v0, f, plan, derive_rng(2, i, 3))
@@ -641,7 +643,8 @@ class TestDilation:
         # the first member whose own gate is not unitary
         bent = dataclasses.replace(factors[2], u=factors[2].u * 1.001)
         with pytest.raises(InvalidGateError) as excinfo:
-            qsim.dilation_stack(v0, [*factors[:2], bent, factors[3]], ShotPlan(100),
+            qsim.dilation_stack(v0, stack_factors([*factors[:2], bent, factors[3]]),
+                                ShotPlan(100),
                                 [derive_rng(0, i) for i in range(4)], steps)
         assert excinfo.value.step == 34
         # the first member when only the norm over the stack exceeds the bound
@@ -649,7 +652,8 @@ class TestDilation:
         own = qsim._block_diagonal(near[0].v.T[None], 2)
         assert np.linalg.norm(qsim._unitarity_defect(own)) <= qsim.UNITARY_TOL
         with pytest.raises(InvalidGateError) as excinfo:
-            qsim.dilation_stack(v0, near, None, steps=list(range(7, 7 + len(near))))
+            qsim.dilation_stack(v0, stack_factors(near), None,
+                                steps=list(range(7, 7 + len(near))))
         assert excinfo.value.step == 7
         # one shot per circuit: the first member that accepts none
         members, steps = factors * 5, list(range(100, 120))
@@ -662,14 +666,43 @@ class TestDilation:
                 starved.append(i)
         assert starved[0] > 0
         with pytest.raises(PostSelectionStarvedError) as excinfo:
-            qsim.dilation_stack(v0, members, ShotPlan(1),
+            qsim.dilation_stack(v0, stack_factors(members), ShotPlan(1),
                                 [derive_rng(5, i) for i in range(len(members))], steps)
         assert excinfo.value.step == steps[starved[0]]
+        assert str(excinfo.value) == "no shots survived ancilla post-selection"
+
+    def test_exact_zero_weight_names_the_member_step(self, monkeypatch):
+        # rounding leaves no exact zero weight for a real circuit to reach,
+        # so the amplitudes of members 1 and 2 lose their ancilla-0 block
+        evolve = qsim._evolve
+
+        def starving(state, gates):
+            out = evolve(state, gates).copy()
+            out[1:, :2] = 0.0
+            return out
+
+        monkeypatch.setattr(qsim, "_evolve", starving)
+        rng = np.random.default_rng(19)
+        stack = stack_factors([random_factors(rng, 2) for _ in range(3)])
+        with pytest.raises(PostSelectionStarvedError) as excinfo:
+            qsim.dilation_stack(initial_state(2), stack, steps=[40, 41, 42])
+        assert excinfo.value.step == 41
+        assert str(excinfo.value) == "post-selected branch has zero weight"
 
     def test_plan_needs_rng(self):
         f = SvdFactors.from_svd(np.eye(2), np.ones(2), np.eye(2), 0.0)
         with pytest.raises(InvalidInputError):
             dilation_circuit(np.array([0.6, 0.8]), f, ShotPlan(100))
+
+    @pytest.mark.parametrize("n_rngs", [0, 2, 4])
+    def test_plan_needs_one_rng_per_member(self, n_rngs):
+        # zip would pair 3 members with fewer generators and drop the rest
+        rng = np.random.default_rng(18)
+        stack = stack_factors([random_factors(rng, 2) for _ in range(3)])
+        with pytest.raises(InvalidInputError, match="one rng per member") as excinfo:
+            qsim.dilation_stack(initial_state(2), stack, ShotPlan(100),
+                                [derive_rng(0, i) for i in range(n_rngs)], [9, 10, 11])
+        assert excinfo.value.step == 9
 
     def test_sampled_distribution(self):
         rng = np.random.default_rng(13)

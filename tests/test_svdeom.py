@@ -11,6 +11,7 @@ from svdflow.errors import (
 )
 from svdflow.odeflow import propagator, seed_factors
 from svdflow.svdeom import (
+    TOL_DEGEN,
     SvdFactors,
     midpoint_generators,
     mpea,
@@ -101,6 +102,29 @@ class TestSnapshot:
         assert np.array_equal(snap.z, -snap.z.T)
         assert np.array_equal(snap.w, -snap.w.T)
         assert snap.lplus[0] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_generators_skew_by_construction(self, n):
+        # entry (k, j) of Z and W adds the products of (j, k) in the other
+        # order over the exactly negated denominator, so no re-symmetrization
+        # is needed: (zw - zw^T)/2 gives back zw's bytes, signed zeros too.
+        # Covered: gaps just above TOL_DEGEN, opposite-sign tz (measured
+        # modes produce them), near-equal moduli, and |G| up to 1e6.
+        rng = np.random.default_rng(90 + n)
+        for scale in (1e-3, 1.0, 1e6):
+            for _ in range(5):
+                tilde = np.concatenate([[1.0], rng.uniform(-0.95, 0.95, n - 1)])
+                if n >= 3:
+                    tilde[2] = tilde[1] + 1.5 * TOL_DEGEN
+                if n >= 5:
+                    tilde[3], tilde[4] = -0.5 * tilde[1], -tilde[2] - 1e-12
+                u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                a = constant(scale * rng.standard_normal((n, n)))
+                snap = snapshot_from_arrays(u, tilde, a, 0.0)
+                zw = np.stack([snap.z, snap.w])
+                assert np.array_equal(zw, -zw.mT)
+                assert ((zw - zw.mT) / 2.0).tobytes() == zw.tobytes()
+                assert snap.packed[:2 * n * n].tobytes() == zw.tobytes()
 
 
 class TestMpea:
